@@ -431,6 +431,7 @@ class FastEngine:
         step_begin = getattr(vpolicy, "on_step_begin", None)
 
         inj_order = kernel.injection_order(arrival)
+        arr_sorted = arrival[inj_order]
         ptr = 0
         n_alive = 0
         last_arrival = int(arrival.max())
@@ -443,11 +444,11 @@ class FastEngine:
                 step_begin(t)
 
             # local inputs revealed at time t
-            while ptr < n and arrival[inj_order[ptr]] == t:
-                i = inj_order[ptr]
-                alive[i] = True
-                n_alive += 1
-                ptr += 1
+            hi = int(np.searchsorted(arr_sorted, t, side="right"))
+            if hi > ptr:
+                alive[inj_order[ptr:hi]] = True
+                n_alive += hi - ptr
+                ptr = hi
 
             act = np.flatnonzero(alive)
             if act.size == 0:

@@ -291,6 +291,7 @@ class FastModel2Engine:
         delivered_t = np.full(n, -1, dtype=np.int64)
 
         inj_order = kernel.injection_order(arrival)
+        arr_sorted = arrival[inj_order]
         ptr = 0
         n_alive = 0
         last_arrival = int(arrival.max())
@@ -301,11 +302,11 @@ class FastModel2Engine:
                 break
             stats.steps += 1
 
-            while ptr < n and arrival[inj_order[ptr]] == t:
-                i = inj_order[ptr]
-                alive[i] = True
-                n_alive += 1
-                ptr += 1
+            hi = int(np.searchsorted(arr_sorted, t, side="right"))
+            if hi > ptr:
+                alive[inj_order[ptr:hi]] = True
+                n_alive += hi - ptr
+                ptr = hi
 
             act = np.flatnonzero(alive)
             if act.size == 0:

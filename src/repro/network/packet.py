@@ -14,6 +14,8 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.util.errors import ValidationError
 
 Node = tuple  # coordinate tuple, e.g. (x,) on a line or (x, y) on a grid
@@ -31,6 +33,25 @@ def _as_node(value) -> Node:
         return (int(value),)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"cannot interpret {value!r} as a node") from exc
+
+
+def _node_rows(nodes, n: int) -> np.ndarray:
+    """``nodes`` as an ``(n, d)`` integer array, one node per row."""
+    try:
+        rows = np.asarray(nodes)
+    except ValueError as exc:  # ragged rows
+        raise ValidationError(f"nodes must share one dimension: {exc}") from exc
+    if rows.ndim != 2 or rows.shape[0] != n or rows.shape[1] == 0 \
+            or rows.dtype.kind not in "iu":
+        raise ValidationError(
+            f"expected {n} nodes as an (n, d) integer array, got shape "
+            f"{rows.shape} of {rows.dtype}"
+        )
+    return rows
+
+
+def _row(rows: np.ndarray, i: int) -> Node:
+    return tuple(rows[i].tolist())
 
 
 @dataclass(frozen=True, order=True)
@@ -72,15 +93,67 @@ class Request:
         self._validate()
 
     def _validate(self) -> None:
-        if len(self.source) != len(self.dest):
-            raise ValidationError(
-                f"source {self.source} and dest {self.dest} have different dimensions"
-            )
-        if self.arrival < 0:
-            raise ValidationError(f"arrival must be >= 0, got {self.arrival}")
+        self._validate_parts(self.source, self.dest, self.arrival)
         # Reachability and deadline feasibility depend on the network's
         # geometry (wrapping axes reach "backward" targets), so those
         # checks live in Network.check_request, not here.
+
+    @classmethod
+    def bulk(cls, sources, dests, arrivals, deadlines=None, rids=None) -> list:
+        """Build ``n`` requests at once from columnar data.
+
+        ``sources`` and ``dests`` are ``(n, d)`` integer array-likes (one
+        node per row), ``arrivals`` has length ``n``; ``deadlines`` (``None``
+        entries allowed) and ``rids`` are optional.  The result equals
+        ``[Request(s, t, a, dl, rid) for ...]``: the same validation with
+        the same error text (raised for the first offending row, before
+        any id is taken), and, without ``rids``, one contiguous block of
+        fresh ids in row order.
+        """
+        n = len(arrivals)
+        if n == 0:
+            return []
+        src = _node_rows(sources, n)
+        dst = _node_rows(dests, n)
+        arr = np.asarray(arrivals, dtype=np.int64).reshape(n)
+        # the first row the scalar constructor would reject, if any
+        bad = 0 if src.shape[1] != dst.shape[1] else int(np.argmax(arr < 0))
+        if src.shape[1] != dst.shape[1] or arr[bad] < 0:
+            cls._validate_parts(_row(src, bad), _row(dst, bad), int(arr[bad]))
+        if rids is None:
+            rids = list(itertools.islice(_rid_counter, n))
+        else:
+            rids = np.asarray(rids, dtype=np.int64).reshape(n).tolist()
+        if deadlines is None:
+            deadlines = itertools.repeat(None)
+        elif isinstance(deadlines, np.ndarray) and deadlines.dtype.kind in "iu":
+            deadlines = deadlines.reshape(n).tolist()
+        else:
+            deadlines = [None if x is None else int(x) for x in deadlines]
+        out = []
+        append = out.append
+        new, set_ = object.__new__, object.__setattr__
+        for s, t, a, dl, rid in zip(zip(*src.T.tolist()), zip(*dst.T.tolist()),
+                                    arr.tolist(), deadlines, rids):
+            # set as __init__ does (same order, so pickles match), never
+            # through r.__dict__, which would materialize a larger dict
+            r = new(cls)
+            set_(r, "source", s)
+            set_(r, "dest", t)
+            set_(r, "arrival", a)
+            set_(r, "deadline", dl)
+            set_(r, "rid", rid)
+            append(r)
+        return out
+
+    @staticmethod
+    def _validate_parts(source, dest, arrival) -> None:
+        if len(source) != len(dest):
+            raise ValidationError(
+                f"source {source} and dest {dest} have different dimensions"
+            )
+        if arrival < 0:
+            raise ValidationError(f"arrival must be >= 0, got {arrival}")
 
     @classmethod
     def line(cls, source: int, dest: int, arrival: int, deadline: int | None = None, rid: int | None = None) -> "Request":

@@ -111,11 +111,13 @@ def fractional_opt(network: Network, requests, horizon: int,
         var_edges.append(edges)
         var_deliv.append(copies)
         nvar += len(edges) + len(copies)
-    if nvar > MAX_VARIABLES:
-        raise ValidationError(
-            f"LP too large ({nvar} variables > {MAX_VARIABLES}); "
-            "shrink the instance or use throughput_upper_bound"
-        )
+        # checked per request, so an oversized LP fails before its
+        # windows exhaust memory
+        if nvar > MAX_VARIABLES:
+            raise ValidationError(
+                f"LP too large ({nvar} variables > {MAX_VARIABLES}); "
+                "shrink the instance or use throughput_upper_bound"
+            )
     if nvar == 0:
         return (0.0, np.zeros(len(requests))) if return_details else 0.0
 

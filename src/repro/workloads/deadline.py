@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.api.registry import register_workload
 from repro.network.packet import Request
 from repro.network.topology import Network
@@ -24,15 +26,27 @@ def with_deadlines(requests, slack: int, rng=None, jitter: int = 0,
     the built-in grid workloads.
     """
     rng = as_generator(rng)
-    out = []
-    for r in requests:
-        extra = slack if jitter == 0 else slack + int(rng.integers(0, jitter + 1))
-        dist = r.distance if network is None else network.dist(r.source, r.dest)
-        out.append(
-            Request(r.source, r.dest, r.arrival,
-                    deadline=r.arrival + dist + extra, rid=r.rid)
-        )
-    return out
+    requests = list(requests)
+    n = len(requests)
+    if n == 0:
+        return []
+    src = np.array([r.source for r in requests], dtype=np.int64)
+    dst = np.array([r.dest for r in requests], dtype=np.int64)
+    arrival = np.fromiter((r.arrival for r in requests), np.int64, n)
+    if network is None:
+        dist = (dst - src).sum(axis=1)
+    else:
+        togo = network.togo_array(src, dst)
+        back = np.flatnonzero((togo < 0).any(axis=1))
+        if back.size:  # no directed path: network.dist raises the error
+            network.dist(requests[back[0]].source, requests[back[0]].dest)
+        dist = togo.sum(axis=1)
+    extra = slack
+    if jitter != 0:
+        # one bulk draw reads the stream of n scalar integers(0, jitter + 1)
+        extra = slack + rng.integers(0, jitter + 1, size=n)
+    return Request.bulk(src, dst, arrival, deadlines=arrival + dist + extra,
+                        rids=[r.rid for r in requests])
 
 
 @register_workload(

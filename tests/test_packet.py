@@ -1,5 +1,8 @@
 """Tests for repro.network.packet: requests, packets, statuses."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.network.packet import DeliveryStatus, Packet, Request
@@ -100,6 +103,78 @@ class TestRequestValidation:
     def test_rejects_empty_tuple(self):
         with pytest.raises(ValidationError):
             Request((), (), 0)
+
+
+class TestRequestBulk:
+    def _error(self, build):
+        with pytest.raises(ValidationError) as info:
+            build()
+        return str(info.value)
+
+    def test_equals_scalar_construction(self):
+        src = np.array([[0, 1], [2, 3], [4, 0]])
+        dst = np.array([[1, 1], [5, 3], [4, 4]])
+        bulk = Request.bulk(src, dst, [3, 0, 7], deadlines=[None, 9, 20],
+                            rids=[10, 11, 12])
+        scalar = [Request((0, 1), (1, 1), 3, None, 10),
+                  Request((2, 3), (5, 3), 0, 9, 11),
+                  Request((4, 0), (4, 4), 7, 20, 12)]
+        for b, s in zip(bulk, scalar):
+            assert type(b) is Request and b == s
+            assert (b.source, b.dest, b.arrival, b.deadline, b.rid) \
+                == (s.source, s.dest, s.arrival, s.deadline, s.rid)
+            assert all(type(x) is int for x in b.source + b.dest)
+            assert type(b.arrival) is int and type(b.rid) is int
+            assert pickle.dumps(b) == pickle.dumps(s)
+
+    def test_frozen(self):
+        r = Request.bulk([[0]], [[2]], [0])[0]
+        with pytest.raises(AttributeError):
+            r.arrival = 5
+
+    def test_empty(self):
+        assert Request.bulk(np.zeros((0, 2)), np.zeros((0, 2)), []) == []
+
+    def test_rids_contiguous_and_interleaved(self):
+        before = Request.line(0, 1, 0).rid
+        first = Request.bulk([[0]] * 4, [[1]] * 4, [0, 1, 2, 3])
+        middle = Request.line(0, 1, 0).rid
+        second = Request.bulk([[0]] * 3, [[1]] * 3, [0, 0, 0])
+        after = Request.line(0, 1, 0).rid
+        assert [r.rid for r in first] == list(range(before + 1, before + 5))
+        assert middle == before + 5
+        assert [r.rid for r in second] == list(range(before + 6, before + 9))
+        assert after == before + 9
+        rids = [r.rid for r in first + second]
+        assert len(set(rids)) == len(rids) and rids == sorted(rids)
+
+    def test_dim_mismatch_matches_scalar_text(self):
+        bulk = self._error(lambda: Request.bulk([[0, 0], [1, 1]],
+                                                [[1], [2]], [0, 0]))
+        scalar = self._error(lambda: Request((0, 0), (1,), 0))
+        assert bulk == scalar and "different dimensions" in bulk
+
+    def test_negative_arrival_matches_scalar_text(self):
+        bulk = self._error(lambda: Request.bulk([[0], [1], [2]],
+                                                [[3], [4], [5]], [0, -4, -1]))
+        scalar = self._error(lambda: Request((1,), (4,), -4))
+        assert bulk == scalar and "-4" in bulk
+
+    def test_failure_takes_no_rids(self):
+        before = Request.line(0, 1, 0).rid
+        with pytest.raises(ValidationError):
+            Request.bulk([[0]], [[1]], [-1])
+        assert Request.line(0, 1, 0).rid == before + 1
+
+    @pytest.mark.parametrize("nodes", [
+        [(0, 1), (2,)],            # ragged
+        [[0.5], [1.0]],            # not integers
+        [[], []],                  # empty nodes
+        [[0], [1], [2]],           # wrong count
+    ])
+    def test_rejects_malformed_nodes(self, nodes):
+        with pytest.raises(ValidationError):
+            Request.bulk(nodes, [[3], [4]], [0, 0])
 
 
 class TestRequestOrdering:
