@@ -133,15 +133,13 @@ class RegistryEntry:
         """How the algorithm runs under the stacked ``"batch"`` engine:
         ``"stack"`` when it registers a ``batch_policy`` factory (its
         scenarios join one stacked array execution in ``run_batch``),
-        ``"no"`` when it falls back to the per-scenario path.  Parameters
-        may still force the fallback (the factory returns ``None``, e.g.
-        ``edd(adapter=true)``); the label describes the default."""
+        ``"no"`` when it falls back to the per-scenario path."""
         return "stack" if self.metadata.get("batch_policy") else "no"
 
     def batch_policy(self, params: dict):
         """The scenario-level policy for stacked batch execution, or
-        ``None`` when this algorithm (or this parameterization) cannot
-        join a stacked batch and must run per-scenario."""
+        ``None`` when this algorithm registers no ``batch_policy``
+        factory and must run per-scenario."""
         factory = self.metadata.get("batch_policy")
         if factory is None:
             return None
@@ -262,11 +260,10 @@ def register_algorithm(name: str, **metadata):
     ``"no"`` -- see :attr:`RegistryEntry.fast_engine`); the legacy
     boolean ``supports_fast_engine=True`` is still accepted.
 
-    ``batch_policy`` (optional) is a factory ``(**params) -> Policy |
-    None`` producing the scenario policy for the stacked ``"batch"``
-    engine; registering one marks the algorithm batch-eligible (see
-    :attr:`RegistryEntry.batch_engine`).  Return ``None`` for
-    parameterizations that must run per-scenario.
+    ``batch_policy`` (optional) is a factory ``(**params) -> Policy``
+    producing the scenario policy for the stacked ``"batch"`` engine;
+    registering one marks the algorithm batch-eligible (see
+    :attr:`RegistryEntry.batch_engine`).
     """
     return ALGORITHMS.register(name, **metadata)
 

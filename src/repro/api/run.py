@@ -332,6 +332,14 @@ def _execute(scenario: Scenario, compute_bound: bool) -> RunReport:
                       rng=scenario.rngs()[1], engine=scenario.engine,
                       **params)
     engine_time = time.perf_counter() - t1
+    return _report(scenario, network, requests, result, compute_bound, t0,
+                   engine_time)
+
+
+def _report(scenario, network, requests, result, compute_bound: bool,
+            t0: float, engine_time: float) -> RunReport:
+    """Measure one executed scenario: the :class:`RunReport` of both the
+    per-scenario and the stacked path (``t0`` starts the wall clock)."""
     if compute_bound:
         bound = _instance_bound(scenario, network, requests)
     else:
@@ -445,11 +453,10 @@ def _batch_reason(scenario: Scenario) -> str | None:
     ``"batch"`` engine.
 
     Checks, in order: the algorithm registers a ``batch_policy`` factory,
-    the factory accepts this parameterization (it may return ``None``,
-    e.g. ``edd(adapter=true)``), and
+    and
     :meth:`~repro.network.fast_batch_engine.FastBatchEngine.unsupported_reason`
-    accepts the resulting policy.  Ineligible scenarios fall back to the
-    per-scenario path; :func:`run_batch` raises only when every
+    accepts the policy it builds for these parameters.  Ineligible
+    scenarios fall back to the per-scenario path; :func:`run_batch` raises only when every
     explicitly ``engine="batch"`` scenario is ineligible.
     """
     from repro.network.fast_batch_engine import FastBatchEngine
@@ -460,11 +467,7 @@ def _batch_reason(scenario: Scenario) -> str | None:
     if entry.metadata.get("batch_policy") is None:
         return (f"algorithm {scenario.algorithm.name!r} has no batch "
                 "policy (RegistryEntry.batch_engine == 'no')")
-    policy = entry.batch_policy(params)
-    if policy is None:
-        return (f"{scenario.algorithm} is parameterized for the "
-                "per-scenario path")
-    return FastBatchEngine.unsupported_reason(policy)
+    return FastBatchEngine.unsupported_reason(entry.batch_policy(params))
 
 
 def _execute_stacked(scenarios, compute_bound: bool) -> list:
@@ -496,38 +499,10 @@ def _execute_stacked(scenarios, compute_bound: bool) -> list:
     stacked = FastBatchEngine(jobs).run_many()
     engine_time = (time.perf_counter() - t1) / len(jobs)
 
-    reports = []
-    for scenario, (network, _policy, requests, _h), result in zip(
-            scenarios, jobs, stacked):
-        meta = {"kernel": kernel.active_kernel()}
-        if compute_bound:
-            bound = _instance_bound(scenario, network, requests)
-            meta["bound_method"] = _BOUND_IO[3]  # parity with _execute
-        else:
-            bound = math.nan
-        arrivals = {r.rid: r.arrival for r in requests}
-        latencies = [t - arrivals[rid]
-                     for rid, t in result.stats.delivery_times.items()]
-        latency_mean = (float(sum(latencies) / len(latencies))
-                        if latencies else math.nan)
-        latency_max = float(max(latencies)) if latencies else math.nan
-        reports.append(RunReport(
-            scenario=scenario,
-            requests=len(requests),
-            throughput=result.throughput,
-            bound=float(bound),
-            late=result.stats.late,
-            rejected=result.stats.rejected,
-            preempted=result.stats.preempted,
-            latency_mean=latency_mean,
-            latency_max=latency_max,
-            steps=result.stats.steps,
-            engine=result.engine,
-            wall_time=time.perf_counter() - t0,
-            engine_time=engine_time,
-            meta=meta,
-        ))
-    return reports
+    return [_report(scenario, network, requests, result, compute_bound, t0,
+                    engine_time)
+            for scenario, (network, _policy, requests, _h), result
+            in zip(scenarios, jobs, stacked)]
 
 
 class BatchResult(list):

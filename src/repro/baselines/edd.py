@@ -114,7 +114,8 @@ def run_edd(network: Network, requests, horizon: int,
     "scalar batched-adapter path on the fast engine)",
     fast_engine="vector",
     batch_policy=lambda adapter=False: (
-        None if adapter else EarliestDeadlinePolicy()),
+        _ScalarOnly(EarliestDeadlinePolicy()) if adapter
+        else EarliestDeadlinePolicy()),
 )
 def _edd_scenario(network, requests, horizon, *, rng=None, engine=None,
                   adapter: bool = False):

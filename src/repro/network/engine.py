@@ -2,7 +2,8 @@
 
 An *engine* is anything that implements the :class:`Engine` protocol --
 ``run(requests, horizon) -> SimulationResult`` over a fixed network and
-policy.  Two implementations ship:
+policy.  Two implementations ship, one per-packet loop and one array
+loop:
 
 * ``"reference"`` -- :class:`~repro.network.simulator.Simulator`, the
   per-packet Python loop.  Supports every :class:`Policy`, validates
@@ -16,10 +17,13 @@ A third *name*, ``"batch"``, selects the stacked batch path: eligible
 scenarios of one ``run_batch`` call are packed into a single array
 program and executed together by
 :class:`~repro.network.fast_batch_engine.FastBatchEngine` (the
-:class:`BatchEngine` protocol below).  For a single run the name
-degrades to ``"fast"`` -- a stack of one is just the fast engine -- and
-scenarios no batch program can express fall back per-scenario, exactly
-like ``"fast"`` falls back to the reference engine.
+:class:`BatchEngine` protocol below).  Both array engines run the same
+Model 1 tick loop over a stack of jobs, and ``FastEngine.run`` is
+literally a stack of one, so for a single run the name degrades to
+``"fast"``.  Every Model 1 policy the fast engine runs can join a stack;
+scenarios whose algorithm registers no batch policy fall back
+per-scenario, exactly like ``"fast"`` falls back to the reference
+engine.
 
 Resolution order for the engine name: an explicit argument, then the
 ``REPRO_ENGINE`` environment variable, then the module default set by

@@ -2,51 +2,25 @@
 
 :class:`FastBatchEngine` takes many independent jobs -- each a
 ``(network, policy, requests, horizon)`` quadruple with Model 1
-semantics -- and executes them *together*: every per-packet array of
-:class:`~repro.network.fast_engine.FastEngine` grows a batch dimension
-(one scenario id per row), nodes get per-scenario id offsets so no
-contention group ever mixes scenarios, and each global tick resolves the
-decisions of *all* scenarios in one grouped lexsort/scatter pass.  A
-sweep of hundreds of small grids then costs per step what a single
-scenario costs -- numpy call overhead is paid once per tick, not once
-per tick per scenario.
+semantics -- and runs them *together* through the same tick loop that
+:class:`~repro.network.fast_engine.FastEngine` runs as a stack of one
+(:func:`~repro.network.fast_engine._run_stack`; its module docstring
+describes the padding, per-job clocks and programs).  Every per-packet
+array grows a batch dimension (one scenario id per row), nodes get
+per-scenario id offsets so no contention group ever mixes scenarios,
+and each global tick resolves the decisions of *all* scenarios in one
+grouped pass per decision program.  A sweep of hundreds of small grids
+then costs per step what a single scenario costs -- numpy call overhead
+is paid once per tick and program, not once per tick per scenario.
 
-Memory model (padding and masking)
-----------------------------------
-Jobs are concatenated, not tiled: a row exists per *request*, so memory
-is ``O(total requests x d_max)``.  Coordinate arrays are padded to the
-widest grid dimension ``d_max`` with zeros and the padded dims have side
-1, so padded axes never show distance-to-go and are never forwarded on.
-Per-scenario horizon/liveness masks emulate each scenario's private
-loop: a scenario whose horizon passed (or whose packets drained) stops
-accumulating steps while the others keep ticking.  The stacking wins
-when many small scenarios share the clock; one huge grid gains nothing
-(there is nothing to amortize), and adapter-lifted scalar policies
-cannot join at all (see :meth:`FastBatchEngine.unsupported_reason`).
-
-Policy multiplexing
--------------------
-Decisions reuse the PR-4 ``StepView -> VectorDecision`` ABI unchanged.
-Rows are grouped per step by *program*:
-
-* the greedy family -- *every* greedy job, whatever its
-  ``fast_priority``, merges into a single stacked program
-  (:class:`_StackedGreedyProgram`) that selects each row's sort keys by
-  a per-request priority code; contention groups are scenario-local, so
-  priorities never mix inside a group and the ranks come out exactly as
-  each job's own priority order;
-* native vector policies that declare a ``batch_program`` label (the
-  opt-in that their ``decide_vector`` is *group-local*: decisions within
-  a node group depend only on that group's rows) merge per label;
-* :class:`~repro.network.simulator.PlanPolicy` replay -- per-job action
-  tables are compiled and concatenated into one position-indexed table,
-  so any number of plan replays is a single program.
-
-A batched :class:`~repro.network.engine.StepView` carries the batch-id
-column and a stacked network facade whose ``buffer_size``/``capacity``
-are per-row arrays (``d`` is ``d_max``);
-:func:`~repro.network.fast_engine.greedy_masks` accepts both forms, so
-``GreedyVectorPolicy`` and native policies built on it run unmodified.
+Every Model 1 policy the fast engine runs can join a stack.  Greedy
+jobs of any priority mix, plan replays, and native vector policies that
+declare a ``batch_program`` label merge into one program each; scalar
+policies (lifted by the batched adapter) and the other vector policies
+run as per-job programs on a job-local view, so they ride the shared
+clock without amortizing their own per-tick calls.  The stacking wins
+when many small scenarios with merging policies share the clock; one
+huge grid gains nothing (there is nothing to amortize).
 
 Every result is bit-identical to the per-scenario engines' -- identical
 ``status`` maps, identical counters, identical step accounting -- which
@@ -56,126 +30,8 @@ result cache (fuzz-enforced by ``tests/test_differential.py``).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.network import kernel
-from repro.network.engine import StepView
-from repro.network.fast_engine import (
-    _DELIVERED,
-    _INJECTED,
-    _LATE,
-    _PREEMPTED,
-    _REJECTED,
-    _finalize_result,
-    _PlanVectorPolicy,
-    _request_arrays,
-    FastEngine,
-    greedy_masks,
-)
-from repro.network.simulator import PlanPolicy, Policy, SimulationResult
-from repro.network.stats import NetworkStats
-from repro.network.trace import TraceRecorder
-from repro.util.errors import CapacityError, ValidationError
-
-
-class _StackedNetworkView:
-    """The ``view.network`` of a batched step: per-row capacities.
-
-    ``d`` is the widest grid dimension of the stack; ``buffer_size`` and
-    ``capacity`` are arrays aligned with the view's rows (every row
-    carries its scenario's ``B``/``c``).  ``dims``/``wrap`` are the
-    per-row ``(k, d)`` side lengths and wraparound flags (``wrap`` is
-    ``None`` when no stacked scenario wraps), and ``cap_flat`` the
-    global per-``(node, axis)`` capacity table (``None`` when every
-    stacked network is capacity-uniform).  Batch programs must read the
-    network only through these attributes and the geometry methods
-    below, which mirror :class:`~repro.network.topology.Network`'s --
-    :func:`greedy_masks` does.
-    """
-
-    __slots__ = ("d", "buffer_size", "capacity", "dims", "wrap", "cap_flat")
-
-    def __init__(self, d: int, buffer_size, capacity, dims=None, wrap=None,
-                 cap_flat=None):
-        self.d = d
-        self.buffer_size = buffer_size
-        self.capacity = capacity
-        self.dims = dims
-        self.wrap = wrap
-        self.cap_flat = cap_flat
-
-    def togo_array(self, loc, dst):
-        togo = dst - loc
-        if self.wrap is not None:
-            togo = np.where(self.wrap, togo % self.dims, togo)
-        return togo
-
-    def hops_array(self, src, loc):
-        hops = loc - src
-        if self.wrap is not None:
-            hops = np.where(self.wrap, hops % self.dims, hops)
-        return hops
-
-    def edge_capacity(self, node_id, axis):
-        if self.cap_flat is None:
-            return self.capacity  # per-row c of each row's scenario
-        return self.cap_flat[node_id * self.d + axis]
-
-
-class _StackedPlanProgram(_PlanVectorPolicy):
-    """Concatenation of per-job compiled plan tables (global positions)."""
-
-    def __init__(self, d, t0, length, off, codes):
-        self._d = d
-        self._t0 = t0
-        self._len = length
-        self._off = off
-        self._codes = codes
-
-
-#: per-request priority codes of the merged greedy program
-_GREEDY_CODES = {"fifo": 0, "lifo": 1, "longest": 2, "ntg": 3}
-
-
-class _StackedGreedyProgram:
-    """Every greedy-family job of a stack as *one* decision program.
-
-    Contention groups are scenario-local (node ids carry per-scenario
-    offsets), so rows of different priorities never meet in a group --
-    selecting each row's sort keys by its job's priority code therefore
-    ranks every group exactly as that job's own
-    :class:`~repro.network.fast_engine.GreedyVectorPolicy` would.  The
-    unified key tuple appends a redundant final ``rid`` key where a
-    priority's own tuple is shorter; within a priority-pure group that is
-    a no-op (the order is already total by then).  One program instead of
-    one per priority keeps the per-tick cost flat in the number of
-    priority families a sweep mixes.
-    """
-
-    __slots__ = ("_pcode",)
-
-    def __init__(self, pcode):
-        self._pcode = pcode  # priority code per global request position
-
-    def decide_vector(self, view: StepView):
-        p = self._pcode[view.index]
-        arrival, rid = view.arrival, view.rid
-        remaining = view.remaining()
-        # fifo: (arrival, rid) / lifo: (-arrival, -rid)
-        # longest: (-remaining, arrival, rid) / ntg: (remaining, arrival, rid)
-        k1 = np.where(p == 0, arrival,
-                      np.where(p == 1, -arrival,
-                               np.where(p == 2, -remaining, remaining)))
-        k2 = np.where(p == 0, rid, np.where(p == 1, -rid, arrival))
-        k3 = np.where(p == 1, -rid, rid)
-        return greedy_masks(view, (k1, k2, k3))
-
-
-def _steps_stateless(policy) -> bool:
-    """True when the policy never observes step boundaries -- required to
-    share one stacked clock across scenarios."""
-    fn = getattr(type(policy), "on_step_begin", None)
-    return fn is None or fn is Policy.on_step_begin
+from repro.network.fast_engine import FastEngine, _run_stack
+from repro.util.errors import ValidationError
 
 
 class FastBatchEngine:
@@ -183,11 +39,11 @@ class FastBatchEngine:
 
     ``jobs`` is a sequence of ``(network, policy, requests, horizon)``
     quadruples.  Construction raises
-    :class:`~repro.util.errors.ValidationError` when any job's policy has
-    no batch program (see :meth:`unsupported_reason`); callers wanting
-    graceful fallback pre-filter with :meth:`supports` -- exactly the
-    contract :class:`~repro.network.fast_engine.FastEngine` has with
-    :func:`~repro.network.engine.make_engine`.
+    :class:`~repro.util.errors.ValidationError` when any job's policy
+    cannot run on the array engines (see :meth:`unsupported_reason`);
+    callers wanting graceful fallback pre-filter with :meth:`supports` --
+    exactly the contract :class:`~repro.network.fast_engine.FastEngine`
+    has with :func:`~repro.network.engine.make_engine`.
     """
 
     def __init__(self, jobs):
@@ -201,407 +57,26 @@ class FastBatchEngine:
                 )
         self.jobs = jobs
 
-    # -- eligibility ------------------------------------------------------
-
     @classmethod
     def unsupported_reason(cls, policy) -> str | None:
-        """Why ``policy`` cannot join a stacked batch (None when it can).
-
-        The batch-program forms mirror the fast engine's lifts minus the
-        scalar adapter: plan replay, the built-in greedy priorities, and
-        native vector policies that opt in with a ``batch_program``
-        label.  The label asserts group-locality -- decisions inside one
-        node's contention group depend only on that group's rows -- which
-        is what makes stacking invisible to the policy.
-        """
-        if getattr(policy, "vectorize", True) is False:
-            return "policy sets vectorize=False (pinned to the reference engine)"
+        """Why ``policy`` cannot join a stacked batch (None when it can):
+        exactly what :meth:`FastEngine.supports` rejects, plus Model 2
+        node semantics."""
         if getattr(policy, "node_model", 1) == 2:
             return "Model 2 node semantics run on the dedicated Model 2 engines"
-        if isinstance(policy, PlanPolicy):
-            return None
-        if callable(getattr(policy, "decide_vector", None)):
-            if getattr(policy, "batch_program", None) is None:
-                return ("native vector policy declares no batch_program "
-                        "(the group-locality opt-in)")
-            if not _steps_stateless(policy):
-                return ("policy keeps per-step state (on_step_begin); "
-                        "stacked scenarios share one clock")
-            return None
-        if getattr(policy, "fast_priority", None) in \
-                FastEngine.SUPPORTED_PRIORITIES:
-            if not _steps_stateless(policy):
-                return ("policy keeps per-step state (on_step_begin); "
-                        "stacked scenarios share one clock")
-            return None
-        return ("policy has no batch program (scalar policies run "
-                "per-scenario through the batched adapter)")
+        if getattr(policy, "vectorize", True) is False:
+            return "policy sets vectorize=False (pinned to the reference engine)"
+        if not FastEngine.supports(policy):
+            return ("policy has no fast-engine lift (needs decide_vector, "
+                    "a fast_priority, a scalar decide, or a PlanPolicy)")
+        return None
 
     @classmethod
     def supports(cls, policy) -> bool:
         """True when ``policy`` can join a stacked batch execution."""
         return cls.unsupported_reason(policy) is None
 
-    # -- program grouping -------------------------------------------------
-
-    def _assign_programs(self, d_max, off_j, cnt_j, rid_parts, total):
-        """``(programs, prog_of_job)``: one entry per distinct decision
-        program, and each job's program index.  All plan jobs compile into
-        a single merged program over global request positions, and all
-        greedy-family jobs (any mix of priorities) merge into one
-        :class:`_StackedGreedyProgram` -- the per-tick cost is per
-        *program*, so merging keeps it flat in sweep heterogeneity."""
-        programs: list = []
-        prog_key: dict = {}
-        prog_of_job = np.zeros(len(self.jobs), dtype=np.int64)
-        plan_jobs: list = []
-        greedy_jobs: list = []
-        for b, (network, policy, requests, horizon) in enumerate(self.jobs):
-            if isinstance(policy, PlanPolicy):
-                key = ("plan",)
-                program = None  # merged below
-                plan_jobs.append(b)
-            elif callable(getattr(policy, "decide_vector", None)):
-                key = ("native", type(policy), policy.batch_program)
-                program = policy
-            else:
-                key = ("greedy",)
-                program = None  # merged below
-                greedy_jobs.append(b)
-            pid = prog_key.get(key)
-            if pid is None:
-                pid = len(programs)
-                prog_key[key] = pid
-                programs.append(program)
-            prog_of_job[b] = pid
-        if greedy_jobs:
-            pcode = np.zeros(total, dtype=np.int64)
-            for b in greedy_jobs:
-                sl = slice(off_j[b], off_j[b] + cnt_j[b])
-                pcode[sl] = _GREEDY_CODES[self.jobs[b][1].fast_priority]
-            programs[prog_key[("greedy",)]] = _StackedGreedyProgram(pcode)
-        if plan_jobs:
-            t0 = np.zeros(total, dtype=np.int64)
-            length = np.zeros(total, dtype=np.int64)
-            off = np.zeros(total, dtype=np.int64)
-            chunks: list = []
-            pos = 0
-            for b in plan_jobs:
-                part = _PlanVectorPolicy(self.jobs[b][1], d_max, rid_parts[b])
-                sl = slice(off_j[b], off_j[b] + cnt_j[b])
-                t0[sl] = part._t0
-                length[sl] = part._len
-                off[sl] = part._off + pos
-                pos += part._codes.size
-                chunks.append(part._codes)
-            codes = (np.concatenate(chunks) if chunks
-                     else np.empty(0, dtype=np.int64))
-            merged = _StackedPlanProgram(d_max, t0, length, off, codes)
-            programs[prog_key[("plan",)]] = merged
-        return programs, prog_of_job
-
-    # -- main loop --------------------------------------------------------
-
     def run_many(self) -> list:
         """Execute every job; one :class:`SimulationResult` per job, in
         job order, each bit-identical to a per-scenario run."""
-        jobs = self.jobs
-        m = len(jobs)
-        if m == 0:
-            return []
-        d_max = max(job[0].d for job in jobs)
-
-        # -- stack the per-job request state --------------------------------
-        cnt_j = np.zeros(m, dtype=np.int64)
-        horizon_j = np.zeros(m, dtype=np.int64)
-        last_arr_j = np.full(m, -1, dtype=np.int64)
-        B_j = np.zeros(m, dtype=np.int64)
-        c_j = np.zeros(m, dtype=np.int64)
-        node_off = np.zeros(m, dtype=np.int64)
-        dims2d = np.ones((m, d_max), dtype=np.int64)
-        wrap2d = np.zeros((m, d_max), dtype=bool)
-        strides2d = np.zeros((m, d_max), dtype=np.int64)
-        # global per-(node, axis) capacity table, only when a stacked
-        # network overrides per-edge capacities
-        need_caps = any(job[0].link_caps for job in jobs)
-        cap_parts: list = []
-        src_parts, dst_parts, arr_parts, dl_parts, rid_parts = \
-            [], [], [], [], []
-        reqs_all: list = []
-        nodes = 0
-        for b, (network, policy, requests, horizon) in enumerate(jobs):
-            reqs = tuple(requests)
-            reqs_all.extend(reqs)
-            cnt_j[b] = len(reqs)
-            horizon_j[b] = int(horizon)
-            B_j[b] = network.buffer_size
-            c_j[b] = network.capacity
-            node_off[b] = nodes
-            nodes += network.n
-            d_b = network.d
-            dims2d[b, :d_b] = network.dims
-            wrap2d[b, :d_b] = network.wrap
-            if need_caps:
-                part = np.full(network.n * d_max, network.capacity,
-                               dtype=np.int64)
-                for (tail, axis), cap in network.link_caps.items():
-                    part[network.node_index(tail) * d_max + axis] = cap
-                cap_parts.append(part)
-            # row-major strides of the job's own grid; padded axes stay 0
-            # (their coordinate is always 0, so they contribute nothing)
-            strides2d[b, d_b - 1] = 1
-            for axis in range(d_b - 2, -1, -1):
-                strides2d[b, axis] = strides2d[b, axis + 1] * dims2d[b, axis + 1]
-            if reqs:
-                s, t, a, dl, r = _request_arrays(network, reqs)
-                pad = d_max - d_b
-                if pad:
-                    s = np.pad(s, ((0, 0), (0, pad)))
-                    t = np.pad(t, ((0, 0), (0, pad)))
-                last_arr_j[b] = int(a.max())
-            else:
-                s = t = np.zeros((0, d_max), dtype=np.int64)
-                a = dl = r = np.zeros(0, dtype=np.int64)
-            src_parts.append(s)
-            dst_parts.append(t)
-            arr_parts.append(a)
-            dl_parts.append(dl)
-            rid_parts.append(r)
-        off_j = np.concatenate(([0], np.cumsum(cnt_j)))[:-1]
-        total = int(cnt_j.sum())
-        src = np.concatenate(src_parts) if total else np.zeros((0, d_max), np.int64)
-        dst = np.concatenate(dst_parts) if total else np.zeros((0, d_max), np.int64)
-        arrival = np.concatenate(arr_parts) if total else np.zeros(0, np.int64)
-        deadline = np.concatenate(dl_parts) if total else np.zeros(0, np.int64)
-        rid = np.concatenate(rid_parts) if total else np.zeros(0, np.int64)
-        bid = np.repeat(np.arange(m, dtype=np.int64), cnt_j)
-        reqs_all = tuple(reqs_all)
-        any_wrap = bool(wrap2d.any())
-        cap_flat = np.concatenate(cap_parts) if need_caps else None
-
-        programs, prog_of_job = self._assign_programs(
-            d_max, off_j, cnt_j, rid_parts, total)
-        prog_row = prog_of_job[bid]
-
-        # -- mutable packet state -------------------------------------------
-        loc = src.copy()
-        alive = np.zeros(total, dtype=bool)
-        scode = np.zeros(total, dtype=np.int64)  # _PENDING
-        delivered_t = np.full(total, -1, dtype=np.int64)
-
-        # -- per-scenario accumulators --------------------------------------
-        running = cnt_j > 0  # empty jobs break at t=0 like the fast engine
-        n_alive_j = np.zeros(m, dtype=np.int64)
-        steps_j = np.zeros(m, dtype=np.int64)
-        delivered_j = np.zeros(m, dtype=np.int64)
-        late_j = np.zeros(m, dtype=np.int64)
-        rejected_j = np.zeros(m, dtype=np.int64)
-        preempted_j = np.zeros(m, dtype=np.int64)
-        forwards_j = np.zeros(m, dtype=np.int64)
-        stores_j = np.zeros(m, dtype=np.int64)
-        max_link_j = np.zeros(m, dtype=np.int64)
-        max_buf_j = np.zeros(m, dtype=np.int64)
-
-        inj_order = kernel.injection_order(arrival)
-        arr_sorted = arrival[inj_order]
-
-        for t in range(0, int(horizon_j.max()) + 2):
-            # each scenario's private loop: past its horizon, or drained
-            # with no arrivals left, it stops ticking (exactly the fast
-            # engine's break) while the others continue
-            idx = np.flatnonzero(running)
-            if idx.size == 0:
-                break
-            stop = (horizon_j[idx] < t) | \
-                ((n_alive_j[idx] == 0) & (last_arr_j[idx] < t))
-            if stop.any():
-                for b in idx[stop]:
-                    # packets stranded past the horizon leave the live set;
-                    # finalize turns their INJECTED codes into PREEMPTED
-                    alive[off_j[b]:off_j[b] + cnt_j[b]] = False
-                running[idx[stop]] = False
-                idx = idx[~stop]
-                if idx.size == 0:
-                    break
-            steps_j[idx] += 1
-
-            # local inputs revealed at time t (only for running scenarios)
-            lo = np.searchsorted(arr_sorted, t, side="left")
-            hi = np.searchsorted(arr_sorted, t, side="right")
-            if hi > lo:
-                rows = inj_order[lo:hi]
-                rows = rows[running[bid[rows]]]
-                if rows.size:
-                    alive[rows] = True
-                    n_alive_j += np.bincount(bid[rows], minlength=m)
-
-            act = np.flatnonzero(alive)
-            if act.size == 0:
-                continue
-
-            # deliveries first (Section 2.1)
-            at_dest = (loc[act] == dst[act]).all(axis=1)
-            done = act[at_dest]
-            if done.size:
-                on_time = t <= deadline[done]
-                scode[done] = np.where(on_time, _DELIVERED, _LATE)
-                delivered_t[done] = t
-                db = bid[done]
-                delivered_j += np.bincount(db[on_time], minlength=m)
-                late_j += np.bincount(db[~on_time], minlength=m)
-                alive[done] = False
-                n_alive_j -= np.bincount(db, minlength=m)
-            rem = act[~at_dest]
-            if rem.size == 0:
-                continue
-
-            node_id = node_off[bid[rem]] + \
-                (loc[rem] * strides2d[bid[rem]]).sum(axis=1)
-            k = rem.size
-            fwd_mask = np.zeros(k, dtype=bool)
-            axis_arr = np.zeros(k, dtype=np.int64)
-            store_mask = np.zeros(k, dtype=bool)
-            prog_rem = prog_row[rem]
-            for pid, program in enumerate(programs):
-                pos = np.flatnonzero(prog_rem == pid) if len(programs) > 1 \
-                    else np.arange(k)
-                if pos.size == 0:
-                    continue
-                rows = rem[pos]
-                rb = bid[rows]
-                view = StepView(
-                    t=t,
-                    network=_StackedNetworkView(
-                        d_max, B_j[rb], c_j[rb], dims2d[rb],
-                        wrap2d[rb] if any_wrap else None, cap_flat),
-                    requests=reqs_all, index=rows, node_id=node_id[pos],
-                    loc=loc[rows], src=src[rows], dst=dst[rows],
-                    arrival=arrival[rows], deadline=deadline[rows],
-                    rid=rid[rows], batch=rb,
-                )
-                decision = program.decide_vector(view)
-                f, a, s = self._check_decision(
-                    decision, view, rb, loc, dims2d, wrap2d, B_j, c_j,
-                    cap_flat, max_link_j, max_buf_j, d_max)
-                fwd_mask[pos] = f
-                axis_arr[pos] = a
-                store_mask[pos] = s
-
-            fwd = rem[fwd_mask]
-            if fwd.size:
-                fa = axis_arr[fwd_mask]
-                loc[fwd, fa] += 1
-                if any_wrap:
-                    # identity on non-wrapping axes (heads were validated)
-                    loc[fwd, fa] %= dims2d[bid[fwd], fa]
-                scode[fwd] = _INJECTED
-                forwards_j += np.bincount(bid[fwd], minlength=m)
-            stored = rem[store_mask]
-            if stored.size:
-                scode[stored] = _INJECTED
-                stores_j += np.bincount(bid[stored], minlength=m)
-            dropped = rem[~fwd_mask & ~store_mask]
-            if dropped.size:
-                fresh = arrival[dropped] == t  # rejected at injection
-                scode[dropped] = np.where(fresh, _REJECTED, _PREEMPTED)
-                rejected_j += np.bincount(bid[dropped[fresh]], minlength=m)
-                preempted_j += np.bincount(bid[dropped[~fresh]], minlength=m)
-                alive[dropped] = False
-                n_alive_j -= np.bincount(bid[dropped], minlength=m)
-
-        # -- per-scenario finalize ------------------------------------------
-        results: list = []
-        for b in range(m):
-            stats = NetworkStats(
-                delivered=int(delivered_j[b]), late=int(late_j[b]),
-                rejected=int(rejected_j[b]), preempted=int(preempted_j[b]),
-                forwards=int(forwards_j[b]), stores=int(stores_j[b]),
-                max_link_load=int(max_link_j[b]),
-                max_buffer_load=int(max_buf_j[b]), steps=int(steps_j[b]),
-            )
-            o, n_b = int(off_j[b]), int(cnt_j[b])
-            if n_b == 0:
-                results.append(SimulationResult(
-                    stats=stats, status={},
-                    trace=TraceRecorder(enabled=False), engine="batch"))
-                continue
-            results.append(_finalize_result(
-                stats, scode[o:o + n_b], rid[o:o + n_b],
-                delivered_t[o:o + n_b], TraceRecorder(enabled=False),
-                engine="batch"))
-        return results
-
-    # -- decision enforcement ---------------------------------------------
-
-    @staticmethod
-    def _check_decision(decision, view, rb, loc, dims2d, wrap2d, B_j, c_j,
-                        cap_flat, max_link_j, max_buf_j, d_max):
-        """Batched :meth:`FastEngine._check_decision`: one program's rows,
-        per-row capacities, per-scenario load maxima.
-
-        Programs are per-scenario, so a (node, axis) contention group
-        never spans programs and per-call accounting is exact.
-        """
-        fwd_mask = np.asarray(decision.forward, dtype=bool)
-        store_mask = np.asarray(decision.store, dtype=bool)
-        axis_arr = np.asarray(decision.axis, dtype=np.int64)
-        k = view.size
-        if fwd_mask.shape != (k,) or store_mask.shape != (k,) \
-                or axis_arr.shape != (k,):
-            raise ValidationError(
-                f"vector decision shapes {fwd_mask.shape}/{axis_arr.shape}/"
-                f"{store_mask.shape} do not match the step view ({k} rows)"
-            )
-        both = fwd_mask & store_mask
-        if both.any():
-            i = int(np.flatnonzero(both)[0])
-            raise ValidationError(
-                f"packet {int(view.rid[i])} scheduled twice")
-
-        if fwd_mask.any():
-            fa = axis_arr[fwd_mask]
-            if ((fa < 0) | (fa >= d_max)).any():
-                raise ValidationError(
-                    f"vector decision names an axis outside 0..{d_max - 1}")
-            rows = view.index[fwd_mask]
-            fb = rb[fwd_mask]
-            heads = loc[rows, fa] + 1
-            # an edge exists when the head stays on-grid, or the axis
-            # wraps with more than one node
-            bad = (heads >= dims2d[fb, fa]) & \
-                (~wrap2d[fb, fa] | (dims2d[fb, fa] == 1))
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise ValidationError(
-                    f"node {tuple(loc[rows[i], :])} has no outgoing axis "
-                    f"{int(fa[i])} (batch scenario {int(fb[i])})"
-                )
-            gid = view.node_id[fwd_mask] * d_max + fa
-            uniq, first, counts = np.unique(gid, return_index=True,
-                                            return_counts=True)
-            gb = fb[first]
-            cap = cap_flat[uniq] if cap_flat is not None else c_j[gb]
-            over = counts > cap
-            if over.any():
-                i = int(np.flatnonzero(over)[0])
-                raise CapacityError(
-                    f"decision forwards {int(counts[i])} > "
-                    f"c={int(cap[i])} on a link "
-                    f"(batch scenario {int(gb[i])})")
-            np.maximum.at(max_link_j, gb, counts)
-
-        if store_mask.any():
-            nid = view.node_id[store_mask]
-            sb = rb[store_mask]
-            _, first, counts = np.unique(nid, return_index=True,
-                                         return_counts=True)
-            gb = sb[first]
-            over = counts > B_j[gb]
-            if over.any():
-                i = int(np.flatnonzero(over)[0])
-                raise CapacityError(
-                    f"decision stores {int(counts[i])} > "
-                    f"B={int(B_j[gb[i]])} at a node "
-                    f"(batch scenario {int(gb[i])})")
-            np.maximum.at(max_buf_j, gb, counts)
-        return fwd_mask, axis_arr, store_mask
+        return _run_stack(self.jobs, "batch")

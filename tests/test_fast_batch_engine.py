@@ -17,20 +17,23 @@ offline-bound tier shared across algorithms.
 
 import sys
 
+import numpy as np
 import pytest
 
 from repro.api import NetworkSpec, Scenario, WorkloadSpec, run_batch
 from repro.api.registry import ALGORITHMS
 from repro.api.run import ScenarioError, _batch_reason
 from repro.baselines.edd import EarliestDeadlinePolicy
-from repro.baselines.greedy import GreedyPolicy
+from repro.baselines.greedy import GreedyPolicy, one_bend_axis
 from repro.baselines.nearest_to_go import NearestToGoPolicy
 from repro.core.deterministic import DeterministicRouter
 from repro.network.engine import StepView, VectorDecision
 from repro.network.fast_batch_engine import FastBatchEngine
-from repro.network.fast_engine import FastEngine
-from repro.network.simulator import Decision, PlanPolicy, Policy
-from repro.network.topology import GridNetwork, LineNetwork
+from repro.network.fast_engine import FastEngine, greedy_masks
+from repro.network.node_models import Model2Policy
+from repro.network.packet import Request
+from repro.network.simulator import Decision, PlanPolicy, Policy, Simulator
+from repro.network.topology import GridNetwork, LineNetwork, Network
 from repro.util.errors import ValidationError
 from repro.workloads import (
     deadline_requests,
@@ -130,57 +133,162 @@ class TestStackedParity:
         assert_results_identical(stacked[0], solo, "single job")
 
 
+def _greedy_decide(node, candidates, network, key) -> Decision:
+    """Scalar greedy under ``key``: top ``c`` per 1-bend axis forward, top
+    ``B`` leftovers stay -- what ``greedy_masks`` computes per group."""
+    by_axis: dict = {}
+    for pkt in candidates:
+        by_axis.setdefault(one_bend_axis(pkt, network), []).append(pkt)
+    decision = Decision()
+    leftovers: list = []
+    for axis, pkts in by_axis.items():
+        pkts.sort(key=key)
+        c = network.capacity_of(node, axis)
+        decision.forward[axis] = pkts[:c]
+        leftovers.extend(pkts[c:])
+    leftovers.sort(key=key)
+    decision.store = leftovers[:network.buffer_size]
+    return decision
+
+
+def _assert_job_local(view: StepView) -> None:
+    """A per-job program sees its own job only: the real network, unpadded
+    coordinates, its own row-major node ids and request positions."""
+    assert isinstance(view.network, Network)
+    assert view.batch is None
+    assert view.loc.shape == (view.size, view.network.d)
+    assert view.src.shape == view.dst.shape == view.loc.shape
+    assert (view.node_id == np.ravel_multi_index(
+        view.loc.T, view.network.dims)).all()
+    assert [view.requests[i].rid for i in view.index] == view.rid.tolist()
+
+
 class _ScalarOnlyPolicy(Policy):
+    """Scalar decide only (youngest first): runs through the adapter."""
+
     def decide(self, node, t, candidates, network) -> Decision:
-        return Decision()
+        return _greedy_decide(node, candidates, network,
+                              lambda p: (-p.request.arrival, p.rid))
 
 
 class _StatefulVectorPolicy(Policy):
+    """Labelled, but observes step boundaries: a per-job program whose
+    hook must run on its own job's clock."""
+
     batch_program = "stateful"
 
+    def __init__(self):
+        self.ticks: list = []
+
     def on_step_begin(self, t: int) -> None:
-        self.t = t
+        self.ticks.append(t)
 
     def decide_vector(self, view: StepView) -> VectorDecision:
-        raise NotImplementedError
+        assert self.ticks[-1] == view.t
+        _assert_job_local(view)
+        return greedy_masks(view, (-view.rid,))
 
     def decide(self, node, t, candidates, network) -> Decision:
-        return Decision()
+        assert self.ticks[-1] == t
+        return _greedy_decide(node, candidates, network, lambda p: -p.rid)
 
 
 class _UnlabelledVectorPolicy(Policy):
+    """Native vector policy without ``batch_program`` (most travelled
+    first): a per-job program."""
+
     def decide_vector(self, view: StepView) -> VectorDecision:
-        raise NotImplementedError
+        _assert_job_local(view)
+        return greedy_masks(view, (-view.hops(), view.rid))
 
     def decide(self, node, t, candidates, network) -> Decision:
-        return Decision()
+        return _greedy_decide(node, candidates, network,
+                              lambda p: (-p.hops, p.rid))
+
+
+def _stack_beside_merged_jobs(make_custom):
+    """``(network, policy factory, requests, horizon)`` specs: the custom
+    policy on a line and on a 2-D grid, stacked beside greedy, edd and
+    plan jobs on other shapes -- the 3-D grid pads every line and 2-D
+    row, which a job-local view must never show."""
+    line = LineNetwork(10, buffer_size=2, capacity=1)
+    grid = GridNetwork((4, 4), buffer_size=1, capacity=2)
+    cube = GridNetwork((3, 3, 2), buffer_size=1, capacity=1)
+    grid35 = GridNetwork((3, 5), buffer_size=2, capacity=1)
+    plan_net = LineNetwork(8, buffer_size=3, capacity=3)
+    plan_reqs = uniform_requests(plan_net, 12, 8, rng=7)
+    paths = DeterministicRouter(plan_net, 40).route(
+        plan_reqs).all_executable_paths()
+    return [
+        (line, make_custom,
+         deadline_requests(line, 25, 12, slack=3, rng=11), 40),
+        (cube, lambda: GreedyPolicy("lifo"),
+         uniform_requests(cube, 30, 10, rng=12), 36),
+        (grid, make_custom, uniform_requests(grid, 30, 10, rng=13), 30),
+        (grid35, EarliestDeadlinePolicy,
+         deadline_requests(grid35, 20, 10, slack=4, rng=14), 44),
+        (plan_net, lambda: PlanPolicy(plan_net, paths), plan_reqs, 40),
+    ]
+
+
+def assert_matches_solo_and_reference(specs):
+    """Stack the specs and compare every job with its own FastEngine run
+    and the reference Simulator; returns the stacked policies."""
+    policies = [make() for _net, make, _reqs, _h in specs]
+    stacked = FastBatchEngine([
+        (net, policy, reqs, horizon)
+        for (net, _make, reqs, horizon), policy in zip(specs, policies)
+    ]).run_many()
+    for i, (net, make, reqs, horizon) in enumerate(specs):
+        solo = FastEngine(net, make()).run(reqs, horizon)
+        assert_results_identical(stacked[i], solo, f"job {i} vs fast")
+        ref = Simulator(net, make()).run(reqs, horizon)
+        for name in STAT_FIELDS:
+            assert getattr(stacked[i].stats, name) \
+                == getattr(ref.stats, name), (i, name)
+        assert stacked[i].status == ref.status, i
+        assert stacked[i].stats.delivery_times \
+            == ref.stats.delivery_times, i
+    return policies, stacked
 
 
 class TestEligibility:
     def test_supported_policies(self):
         for policy in (GreedyPolicy("fifo"), GreedyPolicy("longest"),
-                       NearestToGoPolicy(), EarliestDeadlinePolicy()):
+                       NearestToGoPolicy(), EarliestDeadlinePolicy(),
+                       _ScalarOnlyPolicy(), _StatefulVectorPolicy(),
+                       _UnlabelledVectorPolicy()):
             assert FastBatchEngine.supports(policy), \
                 FastBatchEngine.unsupported_reason(policy)
 
-    def test_scalar_policy_rejected(self):
-        reason = FastBatchEngine.unsupported_reason(_ScalarOnlyPolicy())
-        assert reason is not None and "batch program" in reason
+    def test_scalar_policy_stacks_bit_identically(self):
+        assert_matches_solo_and_reference(
+            _stack_beside_merged_jobs(_ScalarOnlyPolicy))
 
-    def test_stateful_vector_policy_rejected(self):
-        assert FastBatchEngine.unsupported_reason(
-            _StatefulVectorPolicy()) is not None
+    def test_stateful_vector_policy_stacks_bit_identically(self):
+        """The hook of a per-job program ticks on its own job's clock:
+        exactly the steps the job's solo run counts."""
+        policies, stacked = assert_matches_solo_and_reference(
+            _stack_beside_merged_jobs(_StatefulVectorPolicy))
+        for i in (0, 2):
+            assert policies[i].ticks \
+                == list(range(stacked[i].stats.steps)), i
 
-    def test_unlabelled_vector_policy_rejected(self):
-        """decide_vector alone is not enough: the policy must opt in with
-        batch_program (the group-locality promise)."""
-        assert FastBatchEngine.unsupported_reason(
-            _UnlabelledVectorPolicy()) is not None
+    def test_unlabelled_vector_policy_stacks_bit_identically(self):
+        """decide_vector without batch_program still stacks: it runs as
+        its own program on a job-local view."""
+        assert_matches_solo_and_reference(
+            _stack_beside_merged_jobs(_UnlabelledVectorPolicy))
 
     def test_constructor_rejects_ineligible_job(self):
+        class Pinned(Policy):
+            vectorize = False
+
         net = LineNetwork(6, buffer_size=1, capacity=1)
-        with pytest.raises(ValidationError, match="cannot join"):
-            FastBatchEngine([(net, _ScalarOnlyPolicy(), [], 10)])
+        for policy in (Pinned(), Model2Policy()):
+            assert not FastBatchEngine.supports(policy)
+            with pytest.raises(ValidationError, match="cannot join"):
+                FastBatchEngine([(net, policy, [], 10)])
 
     def test_batch_reason_consults_registry(self):
         def scen(alg, params):
@@ -193,8 +301,48 @@ class TestEligibility:
         assert _batch_reason(scen("greedy", {"priority": "lifo"})) is None
         assert _batch_reason(scen("ntg", {})) is None
         assert _batch_reason(scen("edd", {})) is None
-        assert _batch_reason(scen("edd", {"adapter": True})) is not None
+        assert _batch_reason(scen("edd", {"adapter": True})) is None
         assert _batch_reason(scen("det", {})) is not None
+
+
+class _DropAll(Policy):
+    def decide(self, node, t, candidates, network) -> Decision:
+        return Decision()
+
+
+class TestPerJobAccounting:
+    def test_steps_and_counters_across_horizons(self):
+        """One stack whose jobs end in every way a job's private loop can
+        end; steps are derived after the loop, counters from the final
+        status codes, and each must equal the reference engine's."""
+        line = LineNetwork(12, buffer_size=1, capacity=1)
+        grid = GridNetwork((4, 4), buffer_size=1, capacity=1)
+        specs = [
+            # drains long before its horizon
+            (line, lambda: GreedyPolicy("fifo"),
+             [Request.line(0, 3, 0), Request.line(2, 5, 1)], 50),
+            # still in flight at its horizon: stranded, then preempted
+            (line, NearestToGoPolicy,
+             [Request.line(0, 11, 0), Request.line(1, 11, 0),
+              Request.line(0, 9, 2)], 4),
+            # arrivals after its horizon stay pending, then rejected
+            (grid, lambda: GreedyPolicy("lifo"),
+             [Request((0, 0), (3, 3), 0), Request((1, 0), (1, 2), 9),
+              Request((0, 1), (2, 1), 30)], 12),
+            # every packet rejected at injection
+            (line, _DropAll,
+             [Request.line(0, 4, 0), Request.line(3, 7, 2),
+              Request.line(5, 6, 5)], 20),
+            # empty
+            (grid, EarliestDeadlinePolicy, [], 25),
+        ]
+        _policies, stacked = assert_matches_solo_and_reference(specs)
+        assert stacked[0].stats.steps < 50
+        assert stacked[1].stats.preempted and stacked[1].stats.steps == 5
+        assert stacked[2].stats.rejected and stacked[2].stats.steps == 13
+        assert stacked[3].stats.rejected == 3
+        assert stacked[3].stats.steps < 20
+        assert stacked[4].stats.steps == 0 and stacked[4].status == {}
 
 
 def _sweep_scenarios(engine=None):
