@@ -21,10 +21,11 @@ Layout
   randomized Section 7, special-case variants).
 * :mod:`repro.baselines` -- greedy and nearest-to-go.
 * :mod:`repro.workloads` -- synthetic and adversarial request generators.
-* :mod:`repro.analysis` -- competitive-ratio measurement harness.
+* :mod:`repro.analysis` -- text tables, ASCII renderings, load profiles.
 * :mod:`repro.api` -- the declarative Scenario layer: registries of
   algorithms/workloads/topologies, JSON-round-trippable run specs, and
-  the batch runner every CLI command and bench sits on.
+  the batch runner every CLI command and bench sits on; its
+  ``RunReport`` measures the competitive ratio.
 """
 
 from repro.core import (

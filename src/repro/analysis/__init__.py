@@ -1,7 +1,10 @@
-"""Experiment harness: metrics, runners, tables and ASCII rendering."""
+"""Presentation helpers: plain-text tables, ASCII renderings and plan
+load profiles (:mod:`repro.analysis.loads`).
 
-from repro.analysis.metrics import competitive_ratio, evaluate_plan, evaluate_policy
-from repro.analysis.runner import ExperimentResult, run_trials, sweep
+Measurement lives in :mod:`repro.api`: ``RunReport.ratio``/``goodput``,
+fanned out by ``run_batch``.
+"""
+
 from repro.analysis.tables import format_table
 from repro.analysis.viz import (
     render_sketch_loads,
@@ -10,14 +13,8 @@ from repro.analysis.viz import (
 )
 
 __all__ = [
-    "ExperimentResult",
-    "competitive_ratio",
-    "evaluate_plan",
-    "evaluate_policy",
     "format_table",
     "render_sketch_loads",
     "render_spacetime",
     "render_tile_quadrants",
-    "run_trials",
-    "sweep",
 ]

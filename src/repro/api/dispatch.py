@@ -46,7 +46,7 @@ import pathlib
 
 from repro.api.cache import CacheStats
 from repro.api.run import BatchResult, RunReport, run_batch
-from repro.api.spec import Scenario
+from repro.api.spec import Scenario, point_digest
 from repro.util.errors import ValidationError
 
 #: bump when the manifest / result-file layout changes incompatibly
@@ -75,8 +75,6 @@ def batch_digest(scenarios) -> str:
     different batch (or the same scenarios in a different order) is
     detected at merge time.
     """
-    from repro.analysis.runner import point_digest
-
     scenarios = _coerce_scenarios(scenarios)
     digests = tuple(s.digest() for s in scenarios)
     return f"{point_digest(('batch', digests)):08x}"

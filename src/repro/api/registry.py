@@ -95,16 +95,13 @@ class RegistryEntry:
         One of ``"vector"`` (a vectorized decision path: a native
         decision-ABI policy, a built-in greedy priority, or the dedicated
         Model 2 vector engine), ``"plan"`` (space-time plan replay),
-        ``"adapter"`` (scalar policy lifted by the batched adapter),
-        ``"yes"`` (legacy boolean metadata) or ``"no"``
-        (engine-independent or reference-only).  Parameters may move an
-        algorithm between paths (e.g. ``edd(adapter=true)`` forces the
-        adapter); the label describes the default.
+        ``"adapter"`` (scalar policy lifted by the batched adapter) or
+        ``"no"`` (engine-independent or reference-only, also when the
+        registration sets no label).  Parameters may move an algorithm
+        between paths (e.g. ``edd(adapter=true)`` forces the adapter);
+        the label describes the default.
         """
-        label = self.metadata.get("fast_engine")
-        if label:
-            return str(label)
-        return "yes" if self.metadata.get("supports_fast_engine") else "no"
+        return str(self.metadata.get("fast_engine") or "no")
 
     @property
     def supports_fast_engine(self) -> bool:
@@ -257,8 +254,7 @@ def register_algorithm(name: str, **metadata):
 
     ``fast_engine`` labels how the algorithm runs under
     ``REPRO_ENGINE=fast`` (``"vector"``, ``"plan"``, ``"adapter"`` or
-    ``"no"`` -- see :attr:`RegistryEntry.fast_engine`); the legacy
-    boolean ``supports_fast_engine=True`` is still accepted.
+    ``"no"`` -- see :attr:`RegistryEntry.fast_engine`).
 
     ``batch_policy`` (optional) is a factory ``(**params) -> Policy``
     producing the scenario policy for the stacked ``"batch"`` engine;
@@ -296,8 +292,11 @@ def planner_adapter(factory, label: str, takes_rng: bool = False):
 
     The adapter routes the requests, replays the plan through the selected
     simulation engine, and raises :class:`~repro.util.errors.ReproError`
-    when the plan and the simulation disagree -- the same cross-check the
-    integration tests perform.
+    when the plan and the simulation disagree, naming the first planned-
+    only and simulated-only request ids.  This is the one plan/simulation
+    cross-check: it is the safety net between the planners' numpy ledgers
+    and the synchronous network semantics, on the path every planned run
+    replays through.
     """
 
     def runner(network, requests, horizon, *, rng=None, engine=None, **params):
@@ -310,7 +309,12 @@ def planner_adapter(factory, label: str, takes_rng: bool = False):
         result = execute_plan(network, plan.all_executable_paths(), requests,
                               horizon, engine=engine)
         if not plan.consistent_with_simulation(result):
-            raise ReproError(f"{label}: plan/simulation mismatch")
+            planned = plan.delivered_ids()
+            simulated = result.delivered_ids()
+            raise ReproError(
+                f"{label}: plan/simulation mismatch: planned-only="
+                f"{sorted(planned - simulated)[:10]} simulated-only="
+                f"{sorted(simulated - planned)[:10]}")
         # surface the router's accounting (framework/detailed counters,
         # tile side k, ...) to RunReport.meta -- what lets the benches
         # read per-part breakdowns without re-running the router

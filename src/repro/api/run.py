@@ -4,13 +4,14 @@
 the registered algorithm, replays/validates through the selected
 simulation engine, computes the offline bound, and returns a
 :class:`RunReport` -- the self-describing result record every CLI command
-and bench prints from.
+and bench prints from, and the one place the competitive ratio
+(``RunReport.ratio``/``goodput``) is measured.
 
 :func:`run_batch` is the fan-out primitive: it shards whole scenarios over
-a process pool (the same machinery as ``analysis.runner.sweep``).  Because
-every scenario derives all of its randomness from its own ``(seed,
-digest)`` -- see :mod:`repro.api.spec` -- batch output is bit-identical to
-the serial run for any worker count.
+a process pool.  Because every scenario derives all of its randomness
+from its own ``(seed, digest)`` -- see :mod:`repro.api.spec` -- batch
+output is bit-identical to the serial run for any worker count and any
+``PYTHONHASHSEED``.
 
 Scenarios that resolve to the ``"batch"`` engine take a third path:
 eligible ones (see :func:`_batch_reason`) are *stacked* -- the whole

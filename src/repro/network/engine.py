@@ -26,10 +26,9 @@ per-scenario, exactly like ``"fast"`` falls back to the reference
 engine.
 
 Resolution order for the engine name: an explicit argument, then the
-``REPRO_ENGINE`` environment variable, then the module default set by
-:func:`set_default_engine` (initially ``"reference"``).  The environment
-hook is how the bench suite runs end to end on either engine without
-threading a flag through every experiment.
+``REPRO_ENGINE`` environment variable, then ``"reference"``.  The
+environment hook is how the bench suite runs end to end on either engine
+without threading a flag through every experiment.
 
 Orthogonal to the engine name, the ``REPRO_KERNEL`` environment variable
 (``auto`` | ``numba`` | ``numpy``, see :mod:`repro.network.kernel`)
@@ -109,8 +108,6 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 #: the valid engine names (implementations resolve lazily in make_engine)
 ENGINE_NAMES = ("reference", "fast", "batch")
-
-_default_engine = "reference"
 
 #: encodes ``deadline = infinity`` in the ABI's int64 deadline arrays
 NO_DEADLINE = int(np.iinfo(np.int64).max)
@@ -215,11 +212,6 @@ class VectorPolicy(Protocol):
         ...
 
 
-def is_vector_policy(policy) -> bool:
-    """True when ``policy`` implements the vectorized decision ABI."""
-    return callable(getattr(policy, "decide_vector", None))
-
-
 # -- engine selection -----------------------------------------------------
 
 
@@ -231,25 +223,14 @@ def _check_name(name: str) -> str:
     return name
 
 
-def get_default_engine() -> str:
-    """The engine name used when neither argument nor env var is set."""
-    return _default_engine
-
-
-def set_default_engine(name: str) -> None:
-    """Set the process-wide default engine (any :data:`ENGINE_NAMES`)."""
-    global _default_engine
-    _default_engine = _check_name(name)
-
-
 def resolve_engine_name(engine: str | None = None) -> str:
-    """Resolve ``engine`` via argument > ``REPRO_ENGINE`` > default."""
+    """Resolve ``engine`` via argument > ``REPRO_ENGINE`` > ``"reference"``."""
     if engine is not None:
         return _check_name(engine)
     env = os.environ.get(ENGINE_ENV_VAR)
     if env:
         return _check_name(env)
-    return _default_engine
+    return "reference"
 
 
 def make_engine(network, policy, engine: str | None = None,

@@ -1,4 +1,10 @@
-"""Tests for the analysis harness (metrics, runner, tables)."""
+"""Measuring, fanning out and checking runs, plus the benches' tables.
+
+``RunReport`` carries the competitive ratio, ``run_batch`` fans scenarios
+out deterministically, :mod:`repro.api.dispatch` partitions a batch
+across hosts, and ``planner_adapter`` cross-checks every plan against
+its replay.
+"""
 
 import math
 import os
@@ -7,139 +13,120 @@ import sys
 
 import pytest
 
-from repro.analysis.metrics import Evaluation, competitive_ratio, evaluate_plan, evaluate_policy
-from repro.analysis.runner import ExperimentResult, run_trials, sweep
 from repro.analysis.tables import format_table
+from repro.api import NetworkSpec, Scenario, WorkloadSpec, run, run_batch
+from repro.api.dispatch import ShardError, merge, plan_shards, run_shard
+from repro.api.registry import planner_adapter
+from repro.api.run import RunReport
 from repro.baselines.greedy import run_greedy
-from repro.core.base import Plan, RouteOutcome
+from repro.core.base import RouteOutcome
 from repro.core.deterministic.variants import BufferlessLineRouter
-from repro.network.topology import LineNetwork
-from repro.spacetime.graph import STPath
 from repro.util.errors import ReproError
-from repro.workloads.uniform import uniform_requests
+
+
+def line_scenario(algorithm="greedy", n=8, B=1, c=1, num=10, seed=0):
+    return Scenario(NetworkSpec("line", (n,), B, c),
+                    WorkloadSpec("uniform", {"num": num, "horizon": n}),
+                    algorithm, horizon=5 * n, seed=seed)
+
+
+def report(throughput, bound):
+    return RunReport(
+        scenario=line_scenario(), requests=20, throughput=throughput,
+        bound=bound, late=0, rejected=0, preempted=0,
+        latency_mean=math.nan, latency_max=math.nan, steps=0,
+        engine="reference")
 
 
 class TestEvaluation:
     def test_ratio(self):
-        ev = Evaluation(throughput=5, bound=10.0, requests=20)
+        ev = report(throughput=5, bound=10.0)
         assert ev.ratio == 2.0
         assert ev.goodput == 0.5
 
     def test_zero_throughput(self):
-        ev = Evaluation(throughput=0, bound=10.0, requests=20)
-        assert ev.ratio == math.inf
+        ev = report(throughput=0, bound=10.0)
+        assert ev.ratio == math.inf and ev.goodput == 0.0
 
     def test_empty_instance(self):
-        ev = Evaluation(throughput=0, bound=0.0, requests=0)
+        ev = run(line_scenario(num=0))
+        assert ev.requests == 0 and ev.bound == 0.0
         assert ev.ratio == 1.0 and ev.goodput == 1.0
 
     def test_evaluate_policy(self):
-        net = LineNetwork(8, buffer_size=1, capacity=1)
-        reqs = uniform_requests(net, 10, 8, rng=0)
-        res = run_greedy(net, reqs, 40)
-        ev = evaluate_policy(net, res, reqs, 40)
-        assert ev.throughput == res.throughput
+        scenario = line_scenario("greedy")
+        ev = run(scenario)
+        network, requests = scenario.build_instance()
+        assert ev.throughput == run_greedy(network, requests,
+                                           scenario.horizon).throughput
         assert ev.bound >= ev.throughput
 
     def test_evaluate_plan_verifies(self):
-        net = LineNetwork(8, buffer_size=0, capacity=1)
-        reqs = uniform_requests(net, 8, 8, rng=1)
-        plan = BufferlessLineRouter(net, 32).route(reqs)
-        ev = evaluate_plan(net, plan, reqs, 32)
+        scenario = line_scenario("bufferless", B=0, num=8)
+        ev = run(scenario)
+        network, requests = scenario.build_instance()
+        plan = BufferlessLineRouter(network, scenario.horizon).route(requests)
         assert ev.throughput == plan.throughput
 
     def test_evaluate_plan_detects_mismatch(self):
-        net = LineNetwork(8, buffer_size=0, capacity=1)
-        reqs = uniform_requests(net, 4, 4, rng=2)
-        plan = Plan()
-        # claim a delivery with a path that does not reach the destination
-        r = reqs[0]
-        bogus = STPath((r.source[0], r.arrival - r.source[0]), (), rid=r.rid)
-        plan.record(r.rid, RouteOutcome.DELIVERED, bogus)
-        if r.distance > 0:
-            with pytest.raises(ReproError):
-                evaluate_plan(net, plan, reqs, 32)
+        # a delivered path demoted to a preempted prefix: the replay still
+        # delivers it, so the check names it on the simulated-only side
+        scenario = line_scenario("bufferless", B=0, num=8)
+        network, requests = scenario.build_instance()
+        plan = BufferlessLineRouter(network, scenario.horizon).route(requests)
+        rid = min(rid for rid, path in plan.paths.items() if path.moves)
+        plan.record(rid, RouteOutcome.PREEMPTED, plan.paths[rid])
+
+        class Demoting:
+            def __init__(self, network, horizon):
+                pass
+
+            def route(self, requests):
+                return plan
+
+        runner = planner_adapter(Demoting, "demoting")
+        expected = rf"planned-only=\[\] simulated-only=\[{rid}\]"
+        with pytest.raises(ReproError, match=expected):
+            runner(network, requests, scenario.horizon)
 
     def test_competitive_ratio_function(self):
-        net = LineNetwork(8, buffer_size=1, capacity=1)
-        reqs = uniform_requests(net, 6, 6, rng=3)
-        assert competitive_ratio(net, 3, reqs, 30) >= 1.0
+        assert run(line_scenario("ntg", num=6)).ratio >= 1.0
 
 
 class TestRunner:
-    def test_experiment_result_stats(self):
-        r = ExperimentResult("x")
-        for v in (1.0, 2.0, 3.0):
-            r.add(v)
-        assert r.mean == 2.0 and r.best == 1.0 and r.worst == 3.0
-        assert r.std > 0
-
-    def test_infinities_excluded_from_mean(self):
-        r = ExperimentResult("x")
-        r.add(1.0)
-        r.add(math.inf)
-        # best/worst use the same finite filter as mean/std
-        assert r.mean == 1.0 and r.worst == 1.0 and r.best == 1.0
-
-    def test_nan_does_not_poison_extremes(self):
-        r = ExperimentResult("x")
-        for v in (2.0, math.nan, 1.0, 3.0):
-            r.add(v)
-        assert r.best == 1.0 and r.worst == 3.0
-        assert r.mean == 2.0
-
-    def test_all_nonfinite_extremes(self):
-        r = ExperimentResult("x")
-        r.add(math.nan)
-        r.add(math.inf)
-        assert math.isnan(r.best) and math.isnan(r.worst)
-
-    def test_all_nonfinite_mean_and_std_are_nan(self):
-        # regression: mean used to report inf (and std 0.0) when *every*
-        # trial was non-finite, which made a fully-poisoned aggregate look
-        # like a clean divergent one
-        r = ExperimentResult("x")
-        r.add(math.inf)
-        r.add(math.nan)
-        assert math.isnan(r.mean) and math.isnan(r.std)
-        empty = ExperimentResult("empty")
-        assert math.isnan(empty.mean) and math.isnan(empty.std)
-
     def test_run_trials_deterministic(self):
-        a = run_trials(lambda rng: float(rng.integers(0, 100)), 5, base_seed=1)
-        b = run_trials(lambda rng: float(rng.integers(0, 100)), 5, base_seed=1)
-        assert a.values == b.values
-        assert len(a.values) == 5
+        scenarios = [line_scenario(seed=seed) for seed in range(5)]
+        assert run_batch(scenarios) == run_batch(scenarios)
 
     def test_sweep_shape(self):
-        out = sweep(lambda p, rng: float(p * 2), [1, 2, 3], seeds=2)
-        assert set(out) == {1, 2, 3}
-        assert out[2].mean == 4.0
+        # under "batch", greedy and ntg stack while det runs on its own;
+        # reports still come back in input order
+        scenarios = [line_scenario(name, B=3, c=3, seed=seed)
+                     .replace(engine="batch")
+                     for seed in (0, 1) for name in ("greedy", "det", "ntg")]
+        out = run_batch(scenarios)
+        assert [r.scenario for r in out] == scenarios
+        assert [r.engine for r in out] == ["batch", "fast", "batch"] * 2
 
     def test_summary_text(self):
-        r = ExperimentResult("ratio")
-        r.add(2.0)
-        assert "ratio" in r.summary() and "mean=2.000" in r.summary()
+        text = report(throughput=5, bound=10.0).summary()
+        assert "greedy" in text and "ratio=2.000" in text
 
 
-def _probe_metric(point, rng):
-    """Module-level sweep metric so ``workers > 1`` can pickle it."""
-    scale = point[1] if isinstance(point, tuple) else point
-    return float(rng.uniform()) + 100.0 * scale
+_HASHSEED_SCRIPT = """\
+from repro.api import NetworkSpec, Scenario, WorkloadSpec, run_batch
 
-
-_SWEEP_SCRIPT = """\
-from repro.analysis.runner import sweep
-
-def metric(point, rng):
-    scale = point[1] if isinstance(point, tuple) else point
-    return float(rng.uniform()) + 100.0 * scale
-
+FIELDS = ("requests", "throughput", "bound", "late", "rejected",
+          "preempted", "latency_mean", "latency_max", "steps")
+scenarios = [
+    Scenario(NetworkSpec("grid", (4, 4), 1, 1),
+             WorkloadSpec("uniform", {"num": 20, "horizon": 8}),
+             algorithm, horizon=32, seed=seed)
+    for algorithm in ("greedy", "ntg", "edd") for seed in (0, 1)]
 for workers in (None, 2):
-    out = sweep(metric, [("a", 1), ("b", 2), 3], seeds=4, base_seed=7,
-                workers=workers)
-    for point, result in out.items():
-        print(workers, point, [v.hex() for v in result.values])
+    for rep in run_batch(scenarios, workers=workers, cache="off"):
+        print(workers, f"{rep.scenario.digest():08x}",
+              [float(getattr(rep, name)).hex() for name in FIELDS])
 """
 
 
@@ -149,7 +136,7 @@ class TestSweepReproducibility:
         env["PYTHONHASHSEED"] = hashseed
         env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
-            [sys.executable, "-c", _SWEEP_SCRIPT],
+            [sys.executable, "-c", _HASHSEED_SCRIPT],
             capture_output=True, text=True, env=env,
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
@@ -157,91 +144,88 @@ class TestSweepReproducibility:
         return proc.stdout
 
     def test_sweep_stable_across_hash_randomization(self):
-        # hash(str) differs between these two processes; sweep values must not
+        # hash(str) differs between these two processes; scenario digests
+        # (the cache keys) and measured values must not
         a = self._run_with_hashseed("12345")
         b = self._run_with_hashseed("54321")
         assert a == b
-        assert a.strip()  # the script really produced output
+        lines = a.splitlines()
+        assert len(lines) == 12  # 6 scenarios x 2 worker counts
+        serial, pooled = lines[:6], lines[6:]
+        assert [s.split(" ", 1)[1] for s in serial] \
+            == [p.split(" ", 1)[1] for p in pooled]
 
     def test_workers_bit_identical_to_serial(self):
-        points = [("a", 1), ("b", 2), 3]
-        serial = sweep(_probe_metric, points, seeds=4, base_seed=7)
-        pooled = sweep(_probe_metric, points, seeds=4, base_seed=7, workers=2)
-        assert set(serial) == set(pooled)
-        for point in points:
-            assert serial[point].values == pooled[point].values
+        scenarios = [line_scenario(name, seed=seed).replace(engine=engine)
+                     for name in ("greedy", "ntg")
+                     for seed in (0, 1)
+                     for engine in ("reference", "batch")]
+        assert run_batch(scenarios) == run_batch(scenarios, workers=2)
 
     def test_distinct_points_get_distinct_streams(self):
-        out = sweep(_probe_metric, [("a", 1), ("b", 1)], seeds=3, base_seed=0)
-        frac = lambda vs: [v % 1.0 for v in vs]
-        assert frac(out[("a", 1)].values) != frac(out[("b", 1)].values)
+        def stream(scenario):
+            return [(r.source, r.dest, r.arrival)
+                    for r in scenario.build_instance()[1]]
+
+        base = line_scenario()
+        assert stream(base) != stream(base.replace(seed=1))
+        # another instance (here: another B) draws its own stream too
+        assert stream(base) != stream(line_scenario(B=2))
 
     def test_same_point_reproducible_in_process(self):
-        a = sweep(_probe_metric, [3], seeds=5, base_seed=9)
-        b = sweep(_probe_metric, [3], seeds=5, base_seed=9)
-        assert a[3].values == b[3].values
+        scenario = line_scenario("ntg", seed=9)
+        assert run(scenario) == run(scenario)
 
 
 class TestSweepSharding:
-    """Multi-host partitioning of (point, trial) sweeps: any shard count
-    merges back to exactly the serial sweep (values in trial order)."""
+    """Partitioning a batch across hosts: any shard count merges back to
+    exactly the serial ``run_batch`` output."""
 
-    POINTS = [("a", 1), ("b", 2), 3, ("a", 1)]  # duplicate collapses
+    SCENARIOS = [line_scenario(name, seed=seed)
+                 for name in ("greedy", "ntg") for seed in range(3)]
 
-    def test_partition_equivalence(self):
-        from repro.analysis.runner import merge_sweep_shards, sweep_shard
+    def _shard_files(self, tmp_path, n_shards):
+        files = []
+        for i, manifest in enumerate(plan_shards(self.SCENARIOS, n_shards)):
+            files.append(tmp_path / f"{n_shards}_{i}.jsonl")
+            run_shard(manifest, files[-1], cache="off")
+        return files
 
-        serial = sweep(_probe_metric, self.POINTS, seeds=4, base_seed=7)
-        for n_shards in (1, 2, 3, 5, 12):
-            parts = [
-                sweep_shard(_probe_metric, self.POINTS, i, n_shards,
-                            seeds=4, base_seed=7)
-                for i in range(n_shards)
-            ]
-            merged = merge_sweep_shards(self.POINTS, reversed(parts), seeds=4)
-            assert list(merged) == list(serial)
-            for point in serial:
-                assert merged[point].values == serial[point].values
+    def test_partition_equivalence(self, tmp_path):
+        serial = run_batch(self.SCENARIOS)
+        for n_shards in (1, 2, 4, 7):
+            files = self._shard_files(tmp_path, n_shards)
+            assert merge(list(reversed(files))) == serial
 
     def test_plan_is_deterministic_and_complete(self):
-        from repro.analysis.runner import plan_sweep_shards
+        a = plan_shards(self.SCENARIOS, 4)
+        assert a == plan_shards(self.SCENARIOS, 4)
+        indices = [s["index"] for m in a for s in m["scenarios"]]
+        assert sorted(indices) == list(range(len(self.SCENARIOS)))
 
-        a = plan_sweep_shards(self.POINTS, 4, 3)
-        b = plan_sweep_shards(self.POINTS, 4, 3)
-        assert a == b
-        units = [u for shard in a for u in shard]
-        assert sorted(units) == [(pi, ti) for pi in range(3)
-                                 for ti in range(4)]
-
-    def test_merge_rejects_missing_and_duplicate_units(self):
-        from repro.analysis.runner import merge_sweep_shards, sweep_shard
-
-        parts = [sweep_shard(_probe_metric, self.POINTS, i, 2, seeds=2)
-                 for i in range(2)]
-        with pytest.raises(ValueError, match="missing"):
-            merge_sweep_shards(self.POINTS, parts[:1], seeds=2)
-        with pytest.raises(ValueError, match="more than one shard"):
-            merge_sweep_shards(self.POINTS, parts + parts[:1], seeds=2)
+    def test_merge_rejects_missing_and_duplicate_units(self, tmp_path):
+        files = self._shard_files(tmp_path, 2)
+        with pytest.raises(ShardError, match="missing"):
+            merge(files[:1])
+        with pytest.raises(ShardError, match="appears twice"):
+            merge(files + files[:1])
 
     def test_pooled_shard_matches_serial_shard(self):
-        from repro.analysis.runner import sweep_shard
-
-        serial = sweep_shard(_probe_metric, self.POINTS, 0, 2, seeds=4,
-                             base_seed=7)
-        pooled = sweep_shard(_probe_metric, self.POINTS, 0, 2, seeds=4,
-                             base_seed=7, workers=2)
-        assert serial == pooled
+        manifest = plan_shards(self.SCENARIOS, 2)[0]
+        assert run_shard(manifest, cache="off") \
+            == run_shard(manifest, workers=2, cache="off")
 
     def test_zero_seeds_yields_empty_results(self):
-        out = sweep(_probe_metric, [1, 2], seeds=0)
-        assert set(out) == {1, 2}
-        assert all(r.values == [] for r in out.values())
+        assert list(run_batch([])) == []
+        with pytest.raises(ShardError, match="empty"):
+            plan_shards([], 2)
 
     def test_duplicate_points_do_not_misalign_values(self):
-        dup = sweep(_probe_metric, [1, 1, 2], seeds=2)
-        plain = sweep(_probe_metric, [1, 2], seeds=2)
-        assert dup[1].values == plain[1].values
-        assert dup[2].values == plain[2].values
+        a, b = self.SCENARIOS[:2]
+        dup = run_batch([a, a, b])
+        assert list(dup) == [run(a), run(a), run(b)]
+        with pytest.raises(ShardError, match="duplicate"):
+            plan_shards([a, a, b], 2)
 
 
 class TestTables:

@@ -2,12 +2,13 @@
 
 The plan/simulator cross-check is the safety net of the whole
 reproduction; these tests corrupt plans in targeted ways and assert the
-net catches each one.
+net catches each one.  Corrupted plans go through ``planner_adapter``,
+the check every planned run replays through.
 """
 
 import pytest
 
-from repro.analysis.metrics import evaluate_plan
+from repro.api.registry import planner_adapter
 from repro.core.base import Plan, RouteOutcome
 from repro.core.deterministic import DeterministicRouter
 from repro.network.packet import Request
@@ -16,6 +17,19 @@ from repro.network.topology import LineNetwork
 from repro.spacetime.graph import STPath
 from repro.util.errors import CapacityError, ReproError
 from repro.workloads.uniform import uniform_requests
+
+
+def replay_checked(net, plan, reqs, horizon):
+    """Replay ``plan`` as if a router had produced it."""
+
+    class Fixed:
+        def __init__(self, network, horizon):
+            pass
+
+        def route(self, requests):
+            return plan
+
+    return planner_adapter(Fixed, "corrupted")(net, reqs, horizon)
 
 
 @pytest.fixture
@@ -61,16 +75,17 @@ class TestCorruptedPlans:
             pytest.skip("trivial path drawn")
         # truncate the path one move early but keep claiming delivery
         plan.paths[rid] = STPath(path.start, path.moves[:-1], rid=rid)
-        with pytest.raises(ReproError):
-            evaluate_plan(net, plan, reqs, 64)
+        expected = rf"planned-only=\[{rid}\] simulated-only=\[\]"
+        with pytest.raises(ReproError, match=expected):
+            replay_checked(net, plan, reqs, 64)
 
     def test_foreign_claimed_delivery_detected(self, net):
         reqs = [Request.line(0, 5, 0, rid=0)]
         plan = Plan()
         # claim rid 0 delivered via a path that belongs to nobody
         plan.record(0, RouteOutcome.DELIVERED, STPath((0, 0), (), rid=0))
-        with pytest.raises(ReproError):
-            evaluate_plan(net, plan, reqs, 64)
+        with pytest.raises(ReproError, match=r"planned-only=\[0\]"):
+            replay_checked(net, plan, reqs, 64)
 
     def test_plan_with_invalid_vertex_rejected_by_checker(self, net):
         from repro.spacetime.graph import SpaceTimeGraph

@@ -12,13 +12,9 @@ import pytest
 from repro.baselines.greedy import GreedyPolicy, run_greedy
 from repro.baselines.nearest_to_go import NearestToGoPolicy, run_nearest_to_go
 from repro.core.deterministic import DeterministicRouter
-from repro.network.engine import (
-    make_engine,
-    resolve_engine_name,
-    set_default_engine,
-)
+from repro.network.engine import make_engine, resolve_engine_name
 from repro.network.fast_engine import FastEngine
-from repro.network.packet import Request
+from repro.network.packet import Packet, Request
 from repro.network.simulator import Decision, Policy, Simulator, execute_plan
 from repro.network.topology import GridNetwork, LineNetwork
 from repro.util.errors import CapacityError, ValidationError
@@ -185,14 +181,15 @@ class TestEngineSelection:
         net = LineNetwork(8, buffer_size=1, capacity=1)
         assert isinstance(make_engine(net, GreedyPolicy()), FastEngine)
 
-    def test_default_engine_setting(self):
-        try:
-            set_default_engine("fast")
-            assert resolve_engine_name() == "fast"
-        finally:
-            set_default_engine("reference")
+    def test_default_engine_setting(self, monkeypatch):
+        # neither argument nor REPRO_ENGINE: the reference engine
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert resolve_engine_name() == "reference"
+        net = LineNetwork(8, buffer_size=1, capacity=1)
+        assert isinstance(make_engine(net, GreedyPolicy()), Simulator)
+        monkeypatch.setenv("REPRO_ENGINE", "warp")
         with pytest.raises(ValidationError):
-            set_default_engine("warp")
+            resolve_engine_name()
 
     def test_custom_scalar_policy_runs_on_fast_via_adapter(self):
         # the PR-4 decision ABI: custom scalar policies no longer fall
@@ -357,3 +354,34 @@ class TestVectorABI:
             FastEngine(net, Hoarder()).run(reqs, 30)
         with pytest.raises(CapacityError):
             Simulator(net, Hoarder()).run(reqs, 30)
+
+    @pytest.mark.parametrize("bad", [
+        "overfull-link", "missing-axis", "foreign-forward",
+        "scheduled-twice", "overfull-store", "foreign-store",
+    ])
+    def test_adapter_validates_like_reference(self, bad):
+        # both engines run one validator: same exception, same message
+        foreign = Packet(request=Request.line(0, 5, 0, rid=99),
+                         location=(0,), injected_at=0)
+
+        class Bad(Policy):
+            def decide(self, node, t, candidates, network):
+                first = min(candidates, key=lambda p: p.rid)
+                return {
+                    "overfull-link": Decision(forward={0: candidates[:2]}),
+                    "missing-axis": Decision(forward={1: [first]}),
+                    "foreign-forward": Decision(forward={0: [foreign]}),
+                    "scheduled-twice": Decision(forward={0: [first]},
+                                                store=[first]),
+                    "overfull-store": Decision(store=list(candidates)),
+                    "foreign-store": Decision(store=[foreign]),
+                }[bad]
+
+        net = LineNetwork(6, buffer_size=1, capacity=1)
+        reqs = [Request.line(0, 5, 0, rid=i) for i in range(3)]
+        with pytest.raises((CapacityError, ValidationError)) as ref:
+            Simulator(net, Bad()).run(reqs, 30)
+        with pytest.raises(type(ref.value)) as fast:
+            FastEngine(net, Bad()).run(reqs, 30)
+        assert type(fast.value) is type(ref.value)
+        assert str(fast.value) == str(ref.value)

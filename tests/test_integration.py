@@ -15,7 +15,7 @@ from repro import (
     run_greedy,
     run_nearest_to_go,
 )
-from repro.analysis.metrics import evaluate_plan
+from repro.api import NetworkSpec, Scenario, WorkloadSpec, run
 from repro.workloads import (
     bursty_requests,
     deadline_requests,
@@ -84,11 +84,11 @@ class TestAllRoutersReplay:
 
 class TestRatiosSane:
     def test_deterministic_ratio_reasonable_light_load(self):
-        net = LineNetwork(32, buffer_size=3, capacity=3)
-        reqs = uniform_requests(net, 25, 48, rng=8)
-        plan = DeterministicRouter(net, 160).route(reqs)
-        ev = evaluate_plan(net, plan, reqs, 160)
-        assert 1.0 <= ev.ratio < 8.0
+        report = run(Scenario(NetworkSpec("line", (32,), 3, 3),
+                              WorkloadSpec("uniform",
+                                           {"num": 25, "horizon": 48}),
+                              "det", horizon=160, seed=8))
+        assert 1.0 <= report.ratio < 8.0
 
     def test_online_below_bound_everywhere(self):
         net = LineNetwork(16, buffer_size=2, capacity=1)

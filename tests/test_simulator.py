@@ -9,6 +9,7 @@ from repro.network.simulator import (
     Policy,
     Simulator,
     execute_plan,
+    validate_decision,
 )
 from repro.network.topology import GridNetwork, LineNetwork
 from repro.spacetime.graph import STPath
@@ -164,13 +165,10 @@ class TestCapacityEnforcement:
 
     def test_invalid_axis_rejected(self):
         net = LineNetwork(3, buffer_size=1, capacity=1)
-        sim = Simulator(net, DropAll())
         # forwarding off the end of the line must be refused
         with pytest.raises(ValidationError):
-            sim._validate_decision(
-                (2,), [], Decision(forward={0: [object()]}),
-                net.buffer_size, net.capacity,
-            )
+            validate_decision(net, (2,), [],
+                              Decision(forward={0: [object()]}))
 
 
 class TestCutThrough:
