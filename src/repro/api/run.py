@@ -40,11 +40,14 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.api.cache import CacheStats, ResultCache, resolve_mode
 from repro.api.registry import ALGORITHMS, WORKLOADS
 from repro.api.spec import Scenario
 from repro.network import kernel
 from repro.network.engine import resolve_engine_name
+from repro.network.packet import RequestBlock
 from repro.util.errors import ValidationError
 
 
@@ -337,6 +340,18 @@ def _execute(scenario: Scenario, compute_bound: bool) -> RunReport:
                    engine_time)
 
 
+def _latencies(requests, delivery_times) -> np.ndarray:
+    """Delivery tick minus arrival of each delivered request, read from
+    the request columns (the last request wins when rids repeat)."""
+    block = RequestBlock.of(requests)
+    n = len(delivery_times)
+    done = np.fromiter(delivery_times.keys(), np.int64, n)
+    times = np.fromiter(delivery_times.values(), np.int64, n)
+    order = np.argsort(block.rid, kind="stable")
+    pos = order[np.searchsorted(block.rid[order], done, side="right") - 1]
+    return times - block.arrival[pos]
+
+
 def _report(scenario, network, requests, result, compute_bound: bool,
             t0: float, engine_time: float) -> RunReport:
     """Measure one executed scenario: the :class:`RunReport` of both the
@@ -346,10 +361,10 @@ def _report(scenario, network, requests, result, compute_bound: bool,
     else:
         bound = math.nan
 
-    arrivals = {r.rid: r.arrival for r in requests}
-    latencies = [t - arrivals[rid] for rid, t in result.stats.delivery_times.items()]
-    latency_mean = float(sum(latencies) / len(latencies)) if latencies else math.nan
-    latency_max = float(max(latencies)) if latencies else math.nan
+    latencies = _latencies(requests, result.stats.delivery_times)
+    latency_mean = float(int(latencies.sum()) / latencies.size) \
+        if latencies.size else math.nan
+    latency_max = float(latencies.max()) if latencies.size else math.nan
 
     # ground truth from the result itself: make_engine may have fallen
     # back (unsupported policy, tracing), and metadata can be stale

@@ -89,6 +89,7 @@ otherwise.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -100,6 +101,7 @@ from repro.network.kernel import (  # noqa: F401  (re-exported: the step
     active_kernel,
     resolve_kernel_name,
 )
+from repro.network.packet import NO_DEADLINE  # noqa: F401  (re-exported)
 from repro.network.simulator import SimulationResult
 from repro.util.errors import ValidationError
 
@@ -108,9 +110,6 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 #: the valid engine names (implementations resolve lazily in make_engine)
 ENGINE_NAMES = ("reference", "fast", "batch")
-
-#: encodes ``deadline = infinity`` in the ABI's int64 deadline arrays
-NO_DEADLINE = int(np.iinfo(np.int64).max)
 
 
 class Engine(Protocol):
@@ -150,11 +149,18 @@ class StepView:
     order (``requests[index[i]]`` is row ``i``'s
     :class:`~repro.network.packet.Request`), which is how compiled
     policies (plan replay) look up per-request tables.
+
+    ``requests`` is a read-only ``Sequence``, not a tuple: the engine
+    passes the caller's requests through (a
+    :class:`~repro.network.packet.RequestBlock` builds its objects only
+    when an element is read).  Hot paths read the arrays; index
+    ``requests`` only for the rows that need an object, and never
+    iterate it per tick.
     """
 
     t: int  # current time step
     network: object  # the Network (dims, buffer_size, capacity, d)
-    requests: tuple  # all requests of the run, in engine order
+    requests: Sequence  # all requests of the run, in engine order
     index: np.ndarray  # row -> position in ``requests``
     node_id: np.ndarray  # flat row-major node index (Network.node_index)
     loc: np.ndarray  # (k, d) current coordinates

@@ -4,13 +4,25 @@
 (Section 2.1): it replays the exact dynamics of
 :class:`~repro.network.simulator.Simulator` -- deliveries first, then the
 top ``c`` packets per link and the top ``B`` per buffer, with cut-through
--- but packs all packet state into numpy arrays (location, arrival,
-deadline, status code) and resolves each time step with grouped
-``lexsort``/scatter passes over the *live* packets, one to two orders of
-magnitude faster than the reference engine.  It runs a *stack* of
-independent ``(network, policy, requests, horizon)`` jobs on one shared
-clock: :class:`FastEngine` is a stack of one, and
+-- but packs all packet state into numpy arrays (location, flat node id,
+destination node id, arrival, deadline, status code) and resolves each
+time step with grouped sort/scatter passes over the *live* packets, one
+to two orders of magnitude faster than the reference engine.  It runs a
+*stack* of independent ``(network, policy, requests, horizon)`` jobs on
+one shared clock: :class:`FastEngine` is a stack of one, and
 :class:`~repro.network.fast_batch_engine.FastBatchEngine` stacks many.
+
+Requests are read as columns: a
+:class:`~repro.network.packet.RequestBlock` (what the built-in workloads
+return) hands over its validated arrays, and any other sequence is read
+once.  The request sequence itself is passed through to the step views
+as ``view.requests`` and indexed only where a policy asks for an object
+(the batched adapter), so a greedy-family or native vector-policy run
+on a block builds no :class:`~repro.network.packet.Request` object.
+Delivery compares a row's node id with its destination's id, and a
+forward moves the id by the axis stride (back a full side where a
+wrapping axis crosses its seam), so the loop never re-derives ids from
+coordinates.
 
 Stacking
 --------
@@ -67,14 +79,15 @@ candidate set (see the ABI contract in :mod:`repro.network.engine`).
 
 from __future__ import annotations
 
-from itertools import chain
+from bisect import bisect_right
+from collections.abc import Sequence
 from types import SimpleNamespace
 
 import numpy as np
 
 from repro.network import kernel
-from repro.network.engine import NO_DEADLINE, StepView, VectorDecision
-from repro.network.packet import DeliveryStatus, Packet
+from repro.network.engine import StepView, VectorDecision
+from repro.network.packet import DeliveryStatus, Packet, RequestBlock
 from repro.network.simulator import (
     PlanPolicy,
     Policy,
@@ -115,36 +128,33 @@ def _priority_keys(name: str, arrival, rid, remaining):
 
 
 def _request_arrays(network, reqs):
-    """``(src, dst, arrival, deadline, rid)`` int64 arrays for ``reqs``
+    """``(src, dst, arrival, deadline, rid)`` int64 columns of ``reqs``
     (validated against ``network``) -- the shared packet-state setup of
     the fast engines.
 
-    Validation is vectorized: one bounds check over the stacked
-    coordinate arrays instead of a per-request Python loop (the loop
-    dominated per-scenario setup in sweep-shaped batches).  On failure
-    the first offending request is re-checked through
-    ``network.check_request`` so the error is byte-identical to the
-    scalar path's.
+    A :class:`~repro.network.packet.RequestBlock` hands over its columns
+    as they are (read-only); any other sequence is read into columns
+    once.  Validation is vectorized: one bounds check over the columns
+    instead of a per-request Python loop.  On failure the first
+    offending request is re-checked through ``network.check_request`` so
+    the error is byte-identical to the scalar path's.
     """
-    if not len(reqs):
-        empty = np.array([], dtype=np.int64)
-        return empty, empty, empty, empty.copy(), empty.copy()
     try:
-        src = np.array([r.source for r in reqs], dtype=np.int64)
-        dst = np.array([r.dest for r in reqs], dtype=np.int64)
-    except ValueError:  # ragged coordinates: mixed dimensionality
-        src = dst = None
-    dims = np.asarray(network.dims, dtype=np.int64)
-    if (src is None or src.ndim != 2 or src.shape[1] != network.d):
+        block = RequestBlock.of(reqs)
+    except ValidationError:  # ragged coordinates: mixed dimensionality
+        block = None
+    if block is None or (len(block) and block.src.shape[1] != network.d):
         for r in reqs:
             network.check_request(r)
         raise AssertionError("check_request accepted a ragged batch")
+    if not len(block):
+        empty = np.zeros(0, dtype=np.int64)
+        nodes = np.zeros((0, network.d), dtype=np.int64)
+        return nodes, nodes, empty, empty, empty
+    src, dst = block.src, block.dst
+    arrival, deadline = block.arrival, block.deadline
+    dims = np.asarray(network.dims, dtype=np.int64)
     ok = ((src >= 0) & (src < dims) & (dst >= 0) & (dst < dims)).all(axis=1)
-    arrival = np.array([r.arrival for r in reqs], dtype=np.int64)
-    deadline = np.array(
-        [NO_DEADLINE if r.deadline is None else r.deadline for r in reqs],
-        dtype=np.int64,
-    )
     # reachability (non-wrapping axes must not decrease) and deadline
     # feasibility, matching Network.check_request row for row
     wrap = np.asarray(network.wrap, dtype=bool)
@@ -153,10 +163,9 @@ def _request_arrays(network, reqs):
     distance = np.where(wrap, (dst - src) % dims, dst - src).sum(axis=1)
     ok &= deadline >= arrival + distance
     if not ok.all():
-        network.check_request(reqs[int(np.flatnonzero(~ok)[0])])
+        network.check_request(block[int(np.flatnonzero(~ok)[0])])
         raise AssertionError("check_request accepted an invalid request")
-    rid = np.array([r.rid for r in reqs], dtype=np.int64)
-    return src, dst, arrival, deadline, rid
+    return src, dst, arrival, deadline, block.rid
 
 
 def _finalize_result(stats, scode, rid, times, trace, engine="fast"):
@@ -609,6 +618,27 @@ def _check_decision(decision, view, rows, nid, job, st):
     return fwd_mask, axis_arr, store_mask
 
 
+class _ChainedRequests(Sequence):
+    """The requests of stacked jobs as one sequence, indexed on demand
+    (``view.requests`` of a merged program), without building a copy."""
+
+    __slots__ = ("_parts", "_off")
+
+    def __init__(self, parts, off):
+        self._parts = parts
+        self._off = off  # stacked position of each part's first request
+
+    def __len__(self) -> int:
+        return self._off[-1] + len(self._parts[-1])
+
+    def __getitem__(self, i):
+        if not -len(self) <= i < len(self):
+            raise IndexError(i)
+        i %= len(self)
+        b = bisect_right(self._off, i) - 1
+        return self._parts[b][i - self._off[b]]
+
+
 def _shared(values):
     """The one value every job agrees on, or ``None``."""
     first = values[0]
@@ -631,7 +661,10 @@ def _run_stack(jobs, engine: str) -> list:
     if m == 0:
         return []
     nets = [job[0] for job in jobs]
-    reqs_of = [tuple(job[2]) for job in jobs]
+    # indexed on demand by views, never copied: a RequestBlock keeps its
+    # objects unbuilt unless a policy reads them
+    reqs_of = [job[2] if isinstance(job[2], Sequence) else tuple(job[2])
+               for job in jobs]
     horizons = [int(job[3]) for job in jobs]
     cnt = [len(reqs) for reqs in reqs_of]
     off = [0] * m
@@ -701,10 +734,21 @@ def _run_stack(jobs, engine: str) -> list:
         max_buf=np.zeros(m, dtype=np.int64),
     )
     loc = st.loc
+    # each row's flat node id (the job's Network.node_index plus its node
+    # offset) and its destination's: delivery is an id compare, and a
+    # forward moves the id by the axis stride
+    base = node_off[bid] if m > 1 else 0
+    if uniform:
+        nid = src @ strides_j[0] + base
+        dnid = dst @ strides_j[0] + base
+    else:
+        row_strides = strides_j[bid]
+        nid = (src * row_strides).sum(axis=1) + base
+        dnid = (dst * row_strides).sum(axis=1) + base
 
     programs, prog_of_job = _assign_programs(jobs, rid, off, cnt, d)
     prog_row = prog_of_job[bid] if len(programs) > 1 else None
-    reqs_all = reqs_of[0] if m == 1 else tuple(chain.from_iterable(reqs_of))
+    reqs_all = reqs_of[0] if m == 1 else _ChainedRequests(reqs_of, off)
     # merged programs see the stack through one facade, built once when
     # nothing in it varies per row
     shared_view = None
@@ -793,7 +837,7 @@ def _run_stack(jobs, engine: str) -> list:
             continue
 
         # deliveries first (Section 2.1)
-        at_dest = (loc[act] == dst[act]).all(axis=1)
+        at_dest = nid[act] == dnid[act]
         done = act[at_dest]
         if done.size:
             scode[done] = np.where(t <= deadline[done], _DELIVERED, _LATE)
@@ -804,13 +848,7 @@ def _run_stack(jobs, engine: str) -> list:
         if rem.size == 0:
             continue
 
-        if m == 1:
-            node_id = loc[rem] @ strides
-        elif uniform:
-            node_id = loc[rem] @ strides + node_off[bid[rem]]
-        else:
-            rb = bid[rem]
-            node_id = node_off[rb] + (loc[rem] * strides_j[rb]).sum(axis=1)
+        node_id = nid[rem]
         if prog_row is None:
             program, job = programs[0]
             fwd_mask, axis_arr, store_mask = decide(program, job, rem,
@@ -836,10 +874,14 @@ def _run_stack(jobs, engine: str) -> list:
         if fwd.size:
             fa = axis_arr[fwd_mask]
             loc[fwd, fa] += 1
+            step = strides[fa] if uniform else strides_j[bid[fwd], fa]
             if any_wrap:
                 # identity on non-wrapping axes (heads were validated)
-                loc[fwd, fa] %= st.dims[fa] if uniform \
-                    else dims_j[bid[fwd], fa]
+                side = st.dims[fa] if uniform else dims_j[bid[fwd], fa]
+                loc[fwd, fa] %= side
+                # a head that wrapped to 0 moved back side - 1 strides
+                step = np.where(loc[fwd, fa] == 0, step * (1 - side), step)
+            nid[fwd] += step
             scode[fwd] = _INJECTED
             if m == 1:
                 n_fwd += fwd.size

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +23,9 @@ from repro.util.errors import ValidationError
 Node = tuple  # coordinate tuple, e.g. (x,) on a line or (x, y) on a grid
 
 _rid_counter = itertools.count()
+
+#: encodes ``deadline = infinity`` in int64 deadline columns
+NO_DEADLINE = int(np.iinfo(np.int64).max)
 
 
 def _as_node(value) -> Node:
@@ -99,7 +104,8 @@ class Request:
         # checks live in Network.check_request, not here.
 
     @classmethod
-    def bulk(cls, sources, dests, arrivals, deadlines=None, rids=None) -> list:
+    def bulk(cls, sources, dests, arrivals, deadlines=None,
+             rids=None) -> "RequestBlock":
         """Build ``n`` requests at once from columnar data.
 
         ``sources`` and ``dests`` are ``(n, d)`` integer array-likes (one
@@ -108,11 +114,13 @@ class Request:
         ``[Request(s, t, a, dl, rid) for ...]``: the same validation with
         the same error text (raised for the first offending row, before
         any id is taken), and, without ``rids``, one contiguous block of
-        fresh ids in row order.
+        fresh ids in row order.  It is a :class:`RequestBlock`, which keeps
+        the validated columns and builds the objects on first element
+        access.
         """
         n = len(arrivals)
         if n == 0:
-            return []
+            return RequestBlock._empty()
         src = _node_rows(sources, n)
         dst = _node_rows(dests, n)
         arr = np.asarray(arrivals, dtype=np.int64).reshape(n)
@@ -120,31 +128,21 @@ class Request:
         bad = 0 if src.shape[1] != dst.shape[1] else int(np.argmax(arr < 0))
         if src.shape[1] != dst.shape[1] or arr[bad] < 0:
             cls._validate_parts(_row(src, bad), _row(dst, bad), int(arr[bad]))
-        if rids is None:
-            rids = list(itertools.islice(_rid_counter, n))
-        else:
-            rids = np.asarray(rids, dtype=np.int64).reshape(n).tolist()
         if deadlines is None:
-            deadlines = itertools.repeat(None)
+            dl = np.full(n, NO_DEADLINE, dtype=np.int64)
         elif isinstance(deadlines, np.ndarray) and deadlines.dtype.kind in "iu":
-            deadlines = deadlines.reshape(n).tolist()
+            dl = deadlines.astype(np.int64).reshape(n)
         else:
-            deadlines = [None if x is None else int(x) for x in deadlines]
-        out = []
-        append = out.append
-        new, set_ = object.__new__, object.__setattr__
-        for s, t, a, dl, rid in zip(zip(*src.T.tolist()), zip(*dst.T.tolist()),
-                                    arr.tolist(), deadlines, rids):
-            # set as __init__ does (same order, so pickles match), never
-            # through r.__dict__, which would materialize a larger dict
-            r = new(cls)
-            set_(r, "source", s)
-            set_(r, "dest", t)
-            set_(r, "arrival", a)
-            set_(r, "deadline", dl)
-            set_(r, "rid", rid)
-            append(r)
-        return out
+            dl = np.array([NO_DEADLINE if x is None else int(x)
+                           for x in deadlines], dtype=np.int64).reshape(n)
+        if rids is None:
+            first = next(_rid_counter)
+            # take the rest of the block without materializing it
+            deque(itertools.islice(_rid_counter, n - 1), maxlen=0)
+            rid = np.arange(first, first + n, dtype=np.int64)
+        else:
+            rid = np.asarray(rids, dtype=np.int64).reshape(n)
+        return RequestBlock(src, dst, arr, dl, rid)
 
     @staticmethod
     def _validate_parts(source, dest, arrival) -> None:
@@ -178,6 +176,122 @@ class Request:
     def __repr__(self) -> str:  # compact, used heavily in test failure output
         dl = "inf" if self.deadline is None else str(self.deadline)
         return f"Request#{self.rid}({self.source}->{self.dest} @t={self.arrival} d={dl})"
+
+
+class RequestBlock(Sequence):
+    """A read-only sequence of :class:`Request` objects stored as columns.
+
+    ``src`` and ``dst`` are ``(n, d)`` int64 arrays, ``arrival``,
+    ``deadline`` (:data:`NO_DEADLINE` where the deadline is ``None``) and
+    ``rid`` are int64 arrays of length ``n``; all five are validated and
+    read-only.  Array consumers (the fast engines, run reports, deadline
+    workloads) read the columns; the :class:`Request` objects are built
+    all at once on first element access and reused afterwards.  A block
+    compares equal to the list of its requests, and indexing, slicing,
+    iteration and ``+`` behave like that list's (a slice or a sum is a
+    list).  It pickles as its columns.
+    """
+
+    __slots__ = ("src", "dst", "arrival", "deadline", "rid", "_items")
+
+    def __init__(self, src, dst, arrival, deadline, rid, items=None):
+        self.src, self.dst, self.arrival, self.deadline, self.rid = (
+            _frozen(src), _frozen(dst), _frozen(arrival), _frozen(deadline),
+            _frozen(rid))
+        self._items = items
+
+    @classmethod
+    def _empty(cls) -> "RequestBlock":
+        nodes = np.zeros((0, 0), dtype=np.int64)
+        none = np.zeros(0, dtype=np.int64)
+        return cls(nodes, nodes, none, none, none, [])
+
+    @classmethod
+    def of(cls, requests) -> "RequestBlock":
+        """``requests`` as a block: a block is returned as is, any other
+        sequence of :class:`Request` objects is read into columns once
+        (keeping the objects).  Raises
+        :class:`~repro.util.errors.ValidationError` when they do not share
+        one dimension."""
+        if isinstance(requests, RequestBlock):
+            return requests
+        items = list(requests)
+        n = len(items)
+        if n == 0:
+            return cls._empty()
+        src = _node_rows([r.source for r in items], n)
+        dst = _node_rows([r.dest for r in items], n)
+        return cls(
+            src, dst,
+            np.fromiter((r.arrival for r in items), np.int64, n),
+            np.fromiter((NO_DEADLINE if r.deadline is None else r.deadline
+                         for r in items), np.int64, n),
+            np.fromiter((r.rid for r in items), np.int64, n),
+            items)
+
+    def _list(self) -> list:
+        if self._items is None:
+            self._items = self._build()
+        return self._items
+
+    def _build(self) -> list:
+        deadline = self.deadline.tolist()
+        if NO_DEADLINE in deadline:
+            deadline = [None if x == NO_DEADLINE else x for x in deadline]
+        out = []
+        append = out.append
+        new, set_ = object.__new__, object.__setattr__
+        for s, t, a, dl, rid in zip(zip(*self.src.T.tolist()),
+                                    zip(*self.dst.T.tolist()),
+                                    self.arrival.tolist(), deadline,
+                                    self.rid.tolist()):
+            # set as __init__ does (same order, so pickles match), never
+            # through r.__dict__, which would materialize a larger dict
+            r = new(Request)
+            set_(r, "source", s)
+            set_(r, "dest", t)
+            set_(r, "arrival", a)
+            set_(r, "deadline", dl)
+            set_(r, "rid", rid)
+            append(r)
+        return out
+
+    def __len__(self) -> int:
+        return len(self.rid)
+
+    def __getitem__(self, index):
+        return self._list()[index]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other):
+        if isinstance(other, RequestBlock):
+            other = other._list()
+        elif not isinstance(other, list):
+            return NotImplemented
+        return self._list() == other
+
+    __hash__ = None
+
+    def __add__(self, other):
+        return self._list() + list(other)
+
+    def __radd__(self, other):
+        return list(other) + self._list()
+
+    def __reduce__(self):
+        return (RequestBlock, (self.src, self.dst, self.arrival,
+                               self.deadline, self.rid))
+
+    def __repr__(self) -> str:
+        return repr(self._list())
+
+
+def _frozen(column) -> np.ndarray:
+    out = np.array(column, dtype=np.int64)  # a private copy
+    out.setflags(write=False)
+    return out
 
 
 class DeliveryStatus(enum.Enum):

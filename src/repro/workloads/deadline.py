@@ -5,15 +5,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.registry import register_workload
-from repro.network.packet import Request
+from repro.network.packet import Request, RequestBlock
 from repro.network.topology import Network
 from repro.util.rng import as_generator
 from repro.workloads.uniform import uniform_requests
 
 
 def with_deadlines(requests, slack: int, rng=None, jitter: int = 0,
-                   network: Network | None = None) -> list:
-    """Copy ``requests`` with deadlines ``t_i + dist + slack (+- jitter)``.
+                   network: Network | None = None) -> RequestBlock:
+    """Copy ``requests`` with deadlines ``t_i + dist + slack (+- jitter)``,
+    as a :class:`~repro.network.packet.RequestBlock` with the same rids.
+    A block's columns are read directly; other sequences are read once.
 
     ``slack = 0`` forces delivery along a shortest schedule (no buffering
     allowed anywhere); larger slack admits buffering.
@@ -26,27 +28,25 @@ def with_deadlines(requests, slack: int, rng=None, jitter: int = 0,
     the built-in grid workloads.
     """
     rng = as_generator(rng)
-    requests = list(requests)
-    n = len(requests)
+    block = RequestBlock.of(requests)
+    n = len(block)
     if n == 0:
-        return []
-    src = np.array([r.source for r in requests], dtype=np.int64)
-    dst = np.array([r.dest for r in requests], dtype=np.int64)
-    arrival = np.fromiter((r.arrival for r in requests), np.int64, n)
+        return block
+    src, dst, arrival = block.src, block.dst, block.arrival
     if network is None:
         dist = (dst - src).sum(axis=1)
     else:
         togo = network.togo_array(src, dst)
         back = np.flatnonzero((togo < 0).any(axis=1))
         if back.size:  # no directed path: network.dist raises the error
-            network.dist(requests[back[0]].source, requests[back[0]].dest)
+            network.dist(block[back[0]].source, block[back[0]].dest)
         dist = togo.sum(axis=1)
     extra = slack
     if jitter != 0:
         # one bulk draw reads the stream of n scalar integers(0, jitter + 1)
         extra = slack + rng.integers(0, jitter + 1, size=n)
     return Request.bulk(src, dst, arrival, deadlines=arrival + dist + extra,
-                        rids=[r.rid for r in requests])
+                        rids=block.rid)
 
 
 @register_workload(
@@ -55,7 +55,7 @@ def with_deadlines(requests, slack: int, rng=None, jitter: int = 0,
     "+ slack (+- jitter)",
 )
 def deadline_requests(network: Network, num: int, horizon: int, slack: int,
-                      rng=None, jitter: int = 0) -> list:
+                      rng=None, jitter: int = 0) -> RequestBlock:
     """Uniform requests with feasible deadlines of the given slack."""
     rng = as_generator(rng)
     base = uniform_requests(network, num, horizon, rng)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.registry import register_workload
-from repro.network.packet import Request
+from repro.network.packet import Request, RequestBlock
 from repro.network.topology import Network
 from repro.util.errors import ValidationError
 from repro.util.rng import as_generator
@@ -134,7 +134,7 @@ def _parse_block(words, dims, horizon, min_distance, limit):
     "and arrival in [0, horizon)",
 )
 def uniform_requests(network: Network, num: int, horizon: int, rng=None,
-                     min_distance: int = 1) -> list:
+                     min_distance: int = 1) -> RequestBlock:
     """``num`` requests with uniformly random source, destination
     (dominating the source by at least ``min_distance`` hops in total) and
     arrival time in ``[0, horizon)`` (always 0 when ``horizon <= 1``).
@@ -143,7 +143,9 @@ def uniform_requests(network: Network, num: int, horizon: int, rng=None,
     each destination coordinate uniformly from ``[source_i, l_i)``;
     degenerate draws below ``min_distance`` are resampled (bounded retries,
     then the farthest corner is used).  The module docstring pins the
-    exact draw stream.
+    exact draw stream.  The requests come back as one
+    :class:`~repro.network.packet.RequestBlock` with one contiguous rid
+    block.
     """
     rng = as_generator(rng)
     dims = tuple(int(l) for l in network.dims)
@@ -155,7 +157,7 @@ def uniform_requests(network: Network, num: int, horizon: int, rng=None,
     draws = sum(l > 1 for l in dims)
     per_request = 2 * draws + (horizon > 1)
     bits = rng.bit_generator
-    out = []
+    blocks = []
     remaining = num
     n_words = 0
     while remaining > 0:
@@ -174,6 +176,9 @@ def uniform_requests(network: Network, num: int, horizon: int, rng=None,
         if consumed < n_words:
             bits.state = saved
             rng.integers(0, _WORD, size=consumed, dtype=np.uint32)
-        out += Request.bulk(src, dst, t)
+        blocks.append((src, dst, t))
         remaining -= len(t)
-    return out
+    if not blocks:
+        return Request.bulk([], [], [])
+    src, dst, t = (np.concatenate(column) for column in zip(*blocks))
+    return Request.bulk(src, dst, t)

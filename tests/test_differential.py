@@ -299,11 +299,12 @@ def test_model2_and_abi_workers_bit_identical(batch):
 @st.composite
 def batch_heterogeneous(draw):
     """Batches dense in the stacked-engine seams (PR 6): mixed grid sizes
-    and horizons, batch-eligible policies (greedy priorities, ntg, native
-    edd) interleaved with ineligible ones (planners, the edd adapter
-    path), every scenario requesting ``engine="batch"``, plus injected
-    duplicates -- so one batch exercises stacking, per-scenario fallback,
-    and duplicate collapse together.  At least one scenario is guaranteed
+    and horizons, stackable policies (greedy priorities, ntg, edd on its
+    native program or on the batched adapter as a job-local program)
+    interleaved with ineligible ones (the planners), every scenario
+    requesting ``engine="batch"``, plus injected duplicates -- so one
+    batch exercises stacking, per-scenario fallback, and duplicate
+    collapse together.  At least one scenario is guaranteed
     batch-eligible (an all-ineligible explicit batch is the clean-error
     path, pinned separately in ``tests/test_fast_batch_engine.py``)."""
     batch = draw(st.lists(scenarios(), min_size=1, max_size=5))

@@ -206,6 +206,22 @@ class _UnlabelledVectorPolicy(Policy):
                               lambda p: (-p.hops, p.rid))
 
 
+class _LabelledVectorPolicy(Policy):
+    """Labelled and stateless (highest rid first): one merged program
+    over every job carrying it, whose view indexes the stacked requests
+    without copying them."""
+
+    batch_program = "probe"
+
+    def decide_vector(self, view: StepView) -> VectorDecision:
+        assert [view.requests[i].rid for i in view.index] \
+            == view.rid.tolist()
+        return greedy_masks(view, (-view.rid,))
+
+    def decide(self, node, t, candidates, network) -> Decision:
+        return _greedy_decide(node, candidates, network, lambda p: -p.rid)
+
+
 def _stack_beside_merged_jobs(make_custom):
     """``(network, policy factory, requests, horizon)`` specs: the custom
     policy on a line and on a 2-D grid, stacked beside greedy, edd and
@@ -279,6 +295,11 @@ class TestEligibility:
         its own program on a job-local view."""
         assert_matches_solo_and_reference(
             _stack_beside_merged_jobs(_UnlabelledVectorPolicy))
+
+    def test_labelled_vector_policy_stacks_bit_identically(self):
+        """Its two jobs merge into one program on the stacked view."""
+        assert_matches_solo_and_reference(
+            _stack_beside_merged_jobs(_LabelledVectorPolicy))
 
     def test_constructor_rejects_ineligible_job(self):
         class Pinned(Policy):

@@ -7,16 +7,28 @@ same delivery times -- across workload families, grid shapes, buffer and
 capacity settings, and priority orders.
 """
 
+import numpy as np
 import pytest
 
 from repro.baselines.greedy import GreedyPolicy, run_greedy
 from repro.baselines.nearest_to_go import NearestToGoPolicy, run_nearest_to_go
 from repro.core.deterministic import DeterministicRouter
-from repro.network.engine import make_engine, resolve_engine_name
+from repro.network import kernel
+from repro.network.engine import (
+    VectorDecision,
+    make_engine,
+    resolve_engine_name,
+)
+from repro.network.fast_batch_engine import FastBatchEngine
 from repro.network.fast_engine import FastEngine
 from repro.network.packet import Packet, Request
 from repro.network.simulator import Decision, Policy, Simulator, execute_plan
-from repro.network.topology import GridNetwork, LineNetwork
+from repro.network.topology import (
+    GridNetwork,
+    LineNetwork,
+    RingNetwork,
+    TorusNetwork,
+)
 from repro.util.errors import CapacityError, ValidationError
 from repro.workloads import (
     clogging_instance,
@@ -385,3 +397,142 @@ class TestVectorABI:
             FastEngine(net, Bad()).run(reqs, 30)
         assert type(fast.value) is type(ref.value)
         assert str(fast.value) == str(ref.value)
+
+
+class TestRequestValidation:
+    """The fast engine validates the request columns in one vectorized
+    pass, then re-checks the first bad request through
+    ``Network.check_request``: the error is the reference engine's."""
+
+    @pytest.mark.parametrize("bad", [
+        Request((0,), (9,), 1),             # off the line
+        Request((4,), (1,), 1),             # backward on a line
+        Request((0,), (5,), 1, deadline=3),  # deadline before distance
+        Request((0, 0), (1, 1), 1),         # wrong dimension
+    ], ids=["off-grid", "backward", "deadline", "dimension"])
+    @pytest.mark.parametrize("as_block", [False, True])
+    def test_same_error_as_reference(self, bad, as_block):
+        from repro.network.packet import RequestBlock
+
+        net = LineNetwork(6)
+        reqs = [Request((0,), (3,), 0), Request((1,), (2,), 0), bad,
+                Request((9,), (9,), 0)]
+        if as_block and bad.dim == net.d:  # a block has one dimension
+            reqs = RequestBlock.of(reqs)
+        with pytest.raises(ValidationError) as ref:
+            Simulator(net, GreedyPolicy()).run(reqs, 20)
+        with pytest.raises(ValidationError) as fast:
+            FastEngine(net, GreedyPolicy()).run(reqs, 20)
+        assert str(fast.value) == str(ref.value)
+
+
+class Detour(Policy):
+    """Forwards along ``axis`` for the first ``ticks`` steps after a
+    packet's arrival whenever that edge exists -- also on an axis the
+    packet has already finished: an overshoot past the destination on a
+    grid, a full lap on a ring -- then along its first unfinished axis;
+    a packet with neither is dropped.  Per link the ``c`` lowest rids
+    forward, per node the ``B`` lowest leftover rids stay.
+
+    Scalar ``decide`` for the reference engine, ``decide_vector`` (one
+    merged program per ``ticks``) for the array engines.
+    """
+
+    def __init__(self, ticks: int, axis: int = 0):
+        self.ticks, self.axis = ticks, axis
+        self.batch_program = ("detour", ticks, axis)
+
+    def decide(self, node, t, candidates, network):
+        by_axis: dict = {}
+        for pkt in candidates:
+            togo = network.togo_array(np.array([node]),
+                                      np.array([pkt.dest]))[0]
+            if t - pkt.request.arrival < self.ticks \
+                    and network.has_edge(node, self.axis):
+                by_axis.setdefault(self.axis, []).append(pkt)
+            elif (togo > 0).any():
+                by_axis.setdefault(int(np.argmax(togo > 0)), []).append(pkt)
+        decision = Decision()
+        leftovers: list = []
+        for axis, pkts in by_axis.items():
+            pkts.sort(key=lambda p: p.rid)
+            c = network.capacity_of(node, axis)
+            decision.forward[axis] = pkts[:c]
+            leftovers += pkts[c:]
+        leftovers.sort(key=lambda p: p.rid)
+        decision.store = leftovers[:network.buffer_size]
+        return decision
+
+    def decide_vector(self, view):
+        net, k, a = view.network, view.size, self.axis
+        side = np.broadcast_to(np.asarray(net.dims), (k, net.d))[:, a]
+        wraps = np.zeros(k, dtype=bool) if net.wrap is None else \
+            np.broadcast_to(np.asarray(net.wrap), (k, net.d))[:, a]
+        detour = (view.t - view.arrival < self.ticks) \
+            & ((view.loc[:, a] + 1 < side) | (wraps & (side > 1)))
+        unfinished = net.togo_array(view.loc, view.dst) > 0
+        axis = np.where(detour, a, np.argmax(unfinished, axis=1))
+        rows = np.flatnonzero(detour | unfinished.any(axis=1))
+
+        def at(x):  # per-row B/c of a stacked view, else the scalar
+            return x[rows] if isinstance(x, np.ndarray) else x
+
+        fwd, store = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
+        fwd[rows], store[rows] = kernel.admit(
+            view.node_id[rows], axis[rows], net.d, (view.rid[rows],),
+            at(net.buffer_size), at(net.edge_capacity(view.node_id, axis)))
+        return VectorDecision(forward=fwd, axis=axis, store=store)
+
+
+class TestNodeIdDelivery:
+    """Delivery is decided by comparing flat node ids, which the engine
+    moves by one axis stride per forward (back a full side on a wrapping
+    seam).  Routes that overshoot a finished axis or lap a ring pass
+    nodes whose hop count equals the request's distance without being
+    its destination, so only an exact position test matches the
+    reference engine there."""
+
+    HORIZON = 40
+
+    def _jobs(self):
+        grid = GridNetwork((4, 4), buffer_size=1, capacity=1)
+        ring = RingNetwork(5, buffer_size=1, capacity=1)
+        torus = TorusNetwork((4, 3), buffer_size=1, capacity=1)
+        # the torus requests stay in their column: a detour of 4 ticks
+        # is a full lap of axis 0 back to the source column
+        laps = [Request((x, 0), (x, 2), t) for x in range(4) for t in (0, 5)]
+        return [
+            (grid, Detour(4), uniform_requests(grid, 40, 8, rng=3)),
+            (ring, Detour(3), uniform_requests(ring, 20, 8, rng=4)),
+            (torus, Detour(4), laps + uniform_requests(torus, 20, 8, rng=5)),
+        ]
+
+    def test_fast_engine_matches_reference(self):
+        for net, policy, reqs in self._jobs():
+            ref, _ = assert_parity(net, policy, policy, reqs, self.HORIZON)
+            assert ref.stats.delivered > 0
+
+    def test_instances_leave_hop_count_behind(self):
+        grid, ring, torus = self._jobs()
+        # grid: overshot packets never arrive and are preempted
+        ref = Simulator(grid[0], grid[1]).run(grid[2], self.HORIZON)
+        assert ref.stats.preempted > 0
+        # torus: lapped packets arrive 4 ticks after their distance
+        net, policy, reqs = torus
+        ref = Simulator(net, policy).run(reqs, self.HORIZON)
+        lapped = [r for r in reqs[:8]
+                  if ref.stats.delivery_times.get(r.rid)
+                  == r.arrival + net.dist(r.source, r.dest) + 4]
+        assert lapped
+
+    def test_mixed_dimension_stack_matches_reference(self):
+        jobs = [(net, policy, reqs, self.HORIZON)
+                for net, policy, reqs in self._jobs()]
+        stacked = FastBatchEngine(jobs).run_many()
+        for (net, policy, reqs, h), got in zip(jobs, stacked):
+            ref = Simulator(net, policy).run(reqs, h)
+            for name in STAT_FIELDS:
+                assert getattr(got.stats, name) == getattr(ref.stats, name), \
+                    (net, name)
+            assert got.status == ref.status
+            assert got.stats.delivery_times == ref.stats.delivery_times

@@ -1,11 +1,18 @@
 """Tests for repro.network.packet: requests, packets, statuses."""
 
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.network.packet import DeliveryStatus, Packet, Request
+from repro.network.packet import (
+    NO_DEADLINE,
+    DeliveryStatus,
+    Packet,
+    Request,
+    RequestBlock,
+)
 from repro.network.topology import GridNetwork, LineNetwork, RingNetwork
 from repro.util.errors import ValidationError
 
@@ -175,6 +182,88 @@ class TestRequestBulk:
     def test_rejects_malformed_nodes(self, nodes):
         with pytest.raises(ValidationError):
             Request.bulk(nodes, [[3], [4]], [0, 0])
+
+
+class TestRequestBlock:
+    """``Request.bulk`` returns a :class:`RequestBlock`: columns first,
+    objects only when an element is read."""
+
+    def _block(self):
+        src = np.array([[0, 1], [2, 3], [4, 0], [1, 1]])
+        dst = np.array([[1, 1], [5, 3], [4, 4], [3, 2]])
+        block = Request.bulk(src, dst, [3, 0, 7, 2],
+                             deadlines=[None, 9, 20, None])
+        eager = [Request(tuple(s), tuple(t), a, dl, rid)
+                 for s, t, a, dl, rid in zip(
+                     src.tolist(), dst.tolist(), [3, 0, 7, 2],
+                     [None, 9, 20, None], block.rid.tolist())]
+        return block, eager
+
+    def test_behaves_like_the_eager_list(self):
+        block, eager = self._block()
+        assert isinstance(block, RequestBlock)
+        assert block == eager and eager == block and len(block) == 4
+        assert [block[i] for i in range(-4, 4)] \
+            == [eager[i] for i in range(-4, 4)]
+        assert block[1:3] == eager[1:3] and block[::-1] == eager[::-1]
+        assert list(block) == eager and eager[2] in block
+        assert block + eager == eager + block == eager + eager
+        for got, want in zip(block, eager):
+            assert (got.source, got.dest, got.arrival, got.deadline,
+                    got.rid) == (want.source, want.dest, want.arrival,
+                                 want.deadline, want.rid)
+            assert pickle.dumps(got) == pickle.dumps(want)
+        with pytest.raises(IndexError):
+            block[4]
+
+    def test_pickles_like_the_eager_list(self):
+        block, eager = self._block()
+        copy = pickle.loads(pickle.dumps(block))
+        assert copy == eager
+        assert [pickle.dumps(r) for r in copy] \
+            == [pickle.dumps(r) for r in eager]
+
+    def test_columns_are_read_only(self):
+        block, _ = self._block()
+        assert block.deadline.tolist()[:3] == [NO_DEADLINE, 9, 20]
+        for column in (block.src, block.dst, block.arrival, block.deadline,
+                       block.rid):
+            assert column.dtype == np.int64
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    def test_of_keeps_the_objects(self):
+        _, eager = self._block()
+        block = RequestBlock.of(eager)
+        assert block[0] is eager[0] and RequestBlock.of(block) is block
+        assert block.src.tolist() == [list(r.source) for r in eager]
+        assert RequestBlock.of([]) == []
+
+    @pytest.mark.parametrize("workload", [
+        {"num": 60, "horizon": 12},
+        {"num": 60, "horizon": 12, "slack": 2, "jitter": 3},
+    ], ids=["uniform", "deadline"])
+    @pytest.mark.parametrize("algorithm", ["greedy", "ntg", "edd"])
+    def test_fast_path_builds_no_request(self, monkeypatch, workload,
+                                         algorithm):
+        from repro.api import NetworkSpec, Scenario, WorkloadSpec, run
+
+        scenario = Scenario(
+            NetworkSpec("grid", (5, 5), 1, 1),
+            WorkloadSpec("deadline" if "slack" in workload else "uniform",
+                         workload),
+            algorithm, horizon=40, seed=3, engine="fast")
+        want = run(scenario, cache="off", compute_bound=False)
+
+        def built(*args, **kwargs):
+            raise AssertionError("a Request object was built")
+
+        monkeypatch.setattr(Request, "__init__", built)
+        monkeypatch.setattr(RequestBlock, "_build", built)
+        got = run(scenario, cache="off", compute_bound=False)
+        assert got.engine == "fast" and got.throughput > 0
+        assert dataclasses.replace(got, wall_time=0, engine_time=0) \
+            == dataclasses.replace(want, wall_time=0, engine_time=0)
 
 
 class TestRequestOrdering:
